@@ -113,10 +113,10 @@ def document_from_json(text: str) -> ArrayDocument:
         if key not in raw:
             raise InputError(f"document missing required key {key!r}")
     dimension, order = raw["dimension"], raw["order"]
-    if not isinstance(dimension, int) or not isinstance(order, int):
+    if not _all_ints([dimension, order]):
         raise InputError("dimension and order must be integers")
     values = raw["values"]
-    if not isinstance(values, list) or not all(isinstance(x, int) for x in values):
+    if not isinstance(values, list) or not _all_ints(values):
         raise InputError("values must be a list of integers")
     kind = raw.get("kind", "latin")
     params = raw.get("params")
@@ -124,13 +124,22 @@ def document_from_json(text: str) -> ArrayDocument:
     if params is not None:
         if not isinstance(params, list) or not params:
             raise InputError("params must be a non-empty list")
-        if all(isinstance(x, int) for x in params):
+        if _all_ints(params):
             norm = (tuple(params),)
-        elif all(isinstance(vec, list) and all(isinstance(x, int) for x in vec) for vec in params):
+        elif all(isinstance(vec, list) and _all_ints(vec) for vec in params):
             norm = tuple(tuple(vec) for vec in params)
         else:
             raise InputError("params must be a vector or a list of vectors")
     return ArrayDocument(dimension, order, np.array(values), kind, norm)
+
+
+def _all_ints(items: list) -> bool:
+    """True when every decoded JSON item is an integer.
+
+    JSON true and false decode to bool, a subclass of int, so the test is
+    on the exact type.
+    """
+    return {type(x) for x in items} <= {int}
 
 
 def render_blocks(values: np.ndarray, sep: str, offset: int = 0) -> str:
@@ -304,6 +313,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     _check_order_cap(args.dim, args.order, args.force, hard_cap=MAX_MODULUS)
+    if args.limit is not None and args.limit < 1:
+        raise InputError(f"--limit must be at least 1, got {args.limit}")
     count = 0
     for v in _wrap_input(lambda: iter_feasible(args.dim, args.order, args.canonical)):
         print(",".join(str(a) for a in v.alphas))

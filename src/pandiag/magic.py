@@ -11,7 +11,7 @@ sigma = n * (n**d - 1) / 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial
 from typing import Sequence
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .lattice import MAX_ORDER, LatinArray, build, permute_symbols
 from .modarith import gcd
-from .orthogonal import ParamMatrix, determinant
+from .orthogonal import ParamMatrix, determinant, unit_determinant_masks
 from .params import DIMENSIONS, ParamVector, check, enumerate_feasible
 
 # distinct-grid counting materializes every family x relabeling combination;
@@ -153,7 +153,8 @@ def compose_checked(
 
 def count_orthogonal_families(dimension: int, order: int) -> int:
     """Ordered d-tuples of canonical feasible vectors passing the determinant test."""
-    return sum(1 for _ in _iter_families(dimension, order))
+    _, rows = _family_rows(dimension, order)
+    return sum(int(np.count_nonzero(mask)) for mask in unit_determinant_masks(rows, order))
 
 
 def count_constructed(dimension: int, order: int, distinct: bool = False) -> int:
@@ -187,14 +188,22 @@ def count_constructed(dimension: int, order: int, distinct: bool = False) -> int
     return len(seen)
 
 
-def _iter_families(dimension: int, order: int):
+def _family_rows(dimension: int, order: int) -> tuple[list[ParamVector], np.ndarray]:
+    """The canonical feasible vectors, also as a (K, d) array, within the census cap."""
     canonical = enumerate_feasible(dimension, order, canonical_only=True)
     if len(canonical) ** dimension > _MAX_FAMILY_COMBOS:
         raise ValueError(
             "out of supported range: too many candidate families"
             f" ({len(canonical)}**{dimension})"
         )
-    for rows in product(canonical, repeat=dimension):
-        det = determinant(ParamMatrix(rows))
-        if gcd(det % order, order) == 1:
-            yield rows
+    rows = np.array([v.alphas for v in canonical], dtype=np.int64).reshape(-1, dimension)
+    return canonical, rows
+
+
+def _iter_families(dimension: int, order: int):
+    """Orthogonal families of canonical vectors, in itertools.product order."""
+    vectors, rows = _family_rows(dimension, order)
+    below = (len(vectors),) * (dimension - 1)
+    for top, mask in zip(vectors, unit_determinant_masks(rows, order)):
+        for idx in zip(*np.unravel_index(np.flatnonzero(mask), below)):
+            yield (top, *(vectors[i] for i in idx))

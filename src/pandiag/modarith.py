@@ -2,12 +2,17 @@
 
 Everything here works on plain Python ints so results are exact at any
 size; callers that care about runtime pass moduli well below MAX_MODULUS.
+The one exception is unit_table, a boolean lookup over the residues mod n
+that batched callers index with whole arrays of reduced values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+
+import numpy as np
 
 # Moduli are capped so downstream enumeration and array work stay desk-scale.
 MAX_MODULUS = 1000
@@ -67,6 +72,15 @@ def mod_inverse(a: int, n: int) -> Residue:
 def is_coprime(a: int, n: int) -> bool:
     """True when a (reduced mod n) shares no factor with n."""
     return gcd(a % n, n) == 1
+
+
+@cache
+def unit_table(n: int) -> np.ndarray:
+    """Read-only boolean table over [0, n): entry r is True when r is a unit mod n."""
+    _check_modulus(n)
+    table = np.gcd(np.arange(n), n) == 1
+    table.flags.writeable = False
+    return table
 
 
 def _check_modulus(n: int) -> None:

@@ -5,17 +5,23 @@ superposing the d arrays yields every d-tuple of symbols exactly once.
 For linear forms that reduces to an integer condition: the d x d matrix
 of coefficients must have determinant coprime to n.  The brute-force
 superposition check stays available as an independent oracle.
+
+Counting orthogonal families needs the determinant test on every ordered
+family drawn from a candidate set; unit_determinant_masks runs it in bulk
+with exact integer arithmetic reduced mod n, while determinant gives the
+exact integer for a single family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import combinations
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .lattice import LatinArray
-from .modarith import Residue, gcd, reduce
+from .modarith import Residue, gcd, reduce, unit_table
 from .params import ParamVector, check
 
 
@@ -96,6 +102,47 @@ def verify_orthogonal_brute(arrays: Sequence[LatinArray]) -> bool:
     for a in arrays:
         code = code * n + a.values
     return int(np.unique(code).size) == n**d
+
+
+def unit_determinant_masks(rows: np.ndarray, order: int) -> Iterator[np.ndarray]:
+    """Determinant test on every ordered family drawn from a set of rows.
+
+    rows is a (K, d) integer array.  For each row r in turn, the yielded
+    boolean mask has one entry per ordered (d-1)-tuple of rows, in
+    itertools.product order, and is True where the d x d matrix with r on
+    top of that tuple has a determinant that is a unit mod order.
+
+    The determinant is expanded along the top row,
+    det = sum_j (-1)**j * r[j] * M_j, where M_j is the minor of the tuple
+    without column j.  The minors of every tuple are computed once, exactly
+    and reduced mod order, so each top row costs one vector-matrix product.
+    Memory stays at d + 2 arrays of K**(d-1) integers.
+    """
+    rows = np.asarray(rows, dtype=np.int64) % order
+    k, d = rows.shape
+    unit = unit_table(order)
+    # minors of the bottom m rows of every tuple, one per column set, m = 0 .. d-2
+    minors = {(): np.ones(1, dtype=np.int64)}
+    for m in range(1, d - 1):
+        minors = {cols: _expand(rows, minors, cols, order) for cols in combinations(range(d), m)}
+    top_minors = np.empty((d, k ** (d - 1)), dtype=np.int64)
+    for j in range(d):
+        top_minors[j] = _expand(rows, minors, tuple(c for c in range(d) if c != j), order)
+    for r in rows * (-1) ** np.arange(d):
+        yield unit[(r @ top_minors) % order]
+
+
+def _expand(rows: np.ndarray, minors: dict, cols: tuple[int, ...], n: int) -> np.ndarray:
+    """Minor on cols of every (new top row, tuple of the rows below), mod n.
+
+    Laplace expansion along the new top row; the top row is the slowest
+    index of the flattened result.
+    """
+    acc = np.zeros((len(rows), minors[cols[1:]].size), dtype=np.int64)
+    for i, c in enumerate(cols):
+        acc += np.multiply.outer((-1) ** i * rows[:, c], minors[cols[:i] + cols[i + 1 :]])
+    acc %= n
+    return acc.ravel()
 
 
 def _det(m: list[list[int]]) -> int:

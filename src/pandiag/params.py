@@ -2,20 +2,88 @@
 
 A vector of d coefficients over Z_n defines the d-dimensional array whose
 cell at coordinates (x_0 .. x_{d-1}) holds sum(alpha_m * x_m) mod n.  The
-array is pandiagonal-latin exactly when a family of gcd conditions holds;
-every condition says some integer built from the coefficients must be
-coprime to n.  Differences and aggregates are reduced mod n first, so a
-value of 0 (gcd n) counts as a violation.
+array is pandiagonal-latin exactly when alpha . u is a unit mod n for every
+line direction u in {0,+-1}^d / +-: 4, 13 and 40 directions for d = 2, 3, 4.
+
+DIRECTIONS[d] lists those directions once each, as (condition id, u) rows
+in reporting order.  The ids name the integer that must be coprime to n
+(pair_sum(0,1) is alpha_0 + alpha_1, total_less_double(2) is the total
+less twice alpha_2, and so on), and each u carries the sign its id implies,
+so a violation reports (alpha . u) mod n.  A value of 0 (gcd n) counts as
+a violation.  The checks walk the table one vector at a time; the search
+tests every candidate for one coordinate at once against the directions
+whose last nonzero entry is that coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, permutations
+from operator import mul
 from typing import Iterator
 
-from .modarith import MAX_MODULUS, gcd, mod_inverse
+import numpy as np
+
+from .modarith import MAX_MODULUS, gcd, mod_inverse, unit_table
 
 DIMENSIONS = (2, 3, 4)
+
+
+def _direction_table(d: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """Condition ids and directions for dimension d, in reporting order.
+
+    The condition families are listed for every d and a direction whose
+    sign-flip is already listed is dropped, so each direction appears once
+    under its first id: at d=3 total_less_component(0) is pair_sum(1,2),
+    and at d=4 total_less_two_doubles(2,3) is minus (0,1).
+    """
+
+    def vec(base: int, *terms: tuple[int, int]) -> tuple[int, ...]:
+        u = [base] * d
+        for m, c in terms:
+            u[m] += c
+        return tuple(u)
+
+    pairs = list(combinations(range(d), 2))
+    rows = [(f"component({m})", vec(0, (m, 1))) for m in range(d)]
+    rows += [(f"pair_sum({a},{b})", vec(0, (a, 1), (b, 1))) for a, b in pairs]
+    rows += [(f"pair_diff({a},{b})", vec(0, (a, 1), (b, -1))) for a, b in pairs]
+    rows += [("total", vec(1))]
+    rows += [(f"total_less_component({m})", vec(1, (m, -1))) for m in range(d)]
+    rows += [(f"total_less_double({m})", vec(1, (m, -2))) for m in range(d)]
+    rows += [
+        (f"total_less_component_less_double({a},{b})", vec(1, (a, -1), (b, -2)))
+        for a, b in permutations(range(d), 2)
+    ]
+    rows += [(f"total_less_two_doubles({a},{b})", vec(1, (a, -2), (b, -2))) for a, b in pairs]
+    table: list[tuple[str, tuple[int, ...]]] = []
+    seen: set[tuple[int, ...]] = set()
+    for cid, u in rows:
+        if u in seen or tuple(-c for c in u) in seen:
+            continue
+        seen.add(u)
+        table.append((cid, u))
+    return tuple(table)
+
+
+DIRECTIONS = {d: _direction_table(d) for d in DIMENSIONS}
+
+
+def _search_levels(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per coordinate k, the directions whose last nonzero entry is k.
+
+    Level k holds (head, last): head has one row per such direction with
+    its entries on coordinates 0 .. k-1, last has its entry on k.
+    """
+    levels = []
+    for k in range(d):
+        us = [u for _, u in DIRECTIONS[d] if any(u[k:]) and not any(u[k + 1 :])]
+        head = np.array([u[:k] for u in us], dtype=np.int64).reshape(len(us), k)
+        levels.append((head, np.array([u[k] for u in us], dtype=np.int64)))
+    return tuple(levels)
+
+
+_SEARCH_LEVELS = {d: _search_levels(d) for d in DIMENSIONS}
 
 
 @dataclass(frozen=True)
@@ -61,26 +129,17 @@ class ConstraintReport:
 
 def check(v: ParamVector) -> ConstraintReport:
     """Feasibility check for any supported dimension."""
-    return {2: check_pair, 3: check_triple, 4: check_quad}[v.dimension](v)
+    return _check(v, v.dimension)
 
 
 def check_pair(v: ParamVector) -> ConstraintReport:
     """d=2 feasibility: components, their sum and their difference coprime to n."""
-    _need_dimension(v, 2)
-    bad = _component_violations(v) + _pairwise_violations(v)
-    return ConstraintReport(not bad, tuple(bad))
+    return _check(v, 2)
 
 
 def check_triple(v: ParamVector) -> ConstraintReport:
     """d=3 feasibility: pair conditions plus the total and total-less-a-double."""
-    _need_dimension(v, 3)
-    n = v.order
-    total = sum(v.alphas)
-    bad = _component_violations(v) + _pairwise_violations(v)
-    bad += _violation("total", total, n)
-    for m, a in enumerate(v.alphas):
-        bad += _violation(f"total_less_double({m})", total - 2 * a, n)
-    return ConstraintReport(not bad, tuple(bad))
+    return _check(v, 3)
 
 
 def check_quad(v: ParamVector) -> ConstraintReport:
@@ -90,32 +149,7 @@ def check_quad(v: ParamVector) -> ConstraintReport:
     must stay coprime to n after removing one component once or twice, a
     component once and another twice, or two distinct components twice.
     """
-    _need_dimension(v, 4)
-    n = v.order
-    total = sum(v.alphas)
-    bad = _component_violations(v) + _pairwise_violations(v)
-    bad += _violation("total", total, n)
-    for m, a in enumerate(v.alphas):
-        bad += _violation(f"total_less_component({m})", total - a, n)
-    for m, a in enumerate(v.alphas):
-        bad += _violation(f"total_less_double({m})", total - 2 * a, n)
-    for m_once, a_once in enumerate(v.alphas):
-        for m_twice, a_twice in enumerate(v.alphas):
-            if m_once == m_twice:
-                continue
-            bad += _violation(
-                f"total_less_component_less_double({m_once},{m_twice})",
-                total - a_once - 2 * a_twice,
-                n,
-            )
-    for a_idx in range(4):
-        for b_idx in range(a_idx + 1, 4):
-            bad += _violation(
-                f"total_less_two_doubles({a_idx},{b_idx})",
-                total - 2 * v.alphas[a_idx] - 2 * v.alphas[b_idx],
-                n,
-            )
-    return ConstraintReport(not bad, tuple(bad))
+    return _check(v, 4)
 
 
 def canonicalize(v: ParamVector) -> ParamVector:
@@ -155,33 +189,36 @@ def enumerate_feasible(
 def iter_feasible(
     dimension: int, order: int, canonical_only: bool = False
 ) -> Iterator[ParamVector]:
-    """Lazy lexicographic feasibility search with pairwise pruning.
+    """Lazy lexicographic feasibility search.
 
-    Arguments are validated eagerly; only the search itself is deferred.
+    A depth-first walk fixes one coordinate per level.  At level k every
+    unit candidate for alpha_k is tested at once against the directions
+    whose last nonzero entry is k; their other entries are already fixed,
+    so a prefix is pruned as soon as one of its directions fails, and a
+    candidate that survives the last level is feasible.  Arguments are
+    validated eagerly; only the search itself is deferred.
     """
     if dimension not in DIMENSIONS:
         raise ValueError(f"dimension must be one of {DIMENSIONS}, got {dimension}")
     if not 2 <= order <= MAX_MODULUS:
         raise ValueError(f"order {order} outside [2, {MAX_MODULUS}]")
-    units = [a for a in range(1, order) if gcd(a, order) == 1]
+    unit = unit_table(order)
+    units = np.flatnonzero(unit)
+    levels = _SEARCH_LEVELS[dimension]
 
-    def extend(prefix: list[int]) -> Iterator[ParamVector]:
-        if len(prefix) == dimension:
-            v = ParamVector(tuple(prefix), order)
-            if check(v).feasible:
-                yield v
-            return
-        choices = [1] if (not prefix and canonical_only) else units
-        for a in choices:
-            # pairwise sums/differences prune most of the tree early; the
-            # aggregate conditions are re-checked at the leaf
-            if all(
-                gcd((b + a) % order, order) == 1 and gcd((b - a) % order, order) == 1
-                for b in prefix
-            ):
-                yield from extend(prefix + [a])
+    def extend(prefix: tuple[int, ...]) -> Iterator[ParamVector]:
+        k = len(prefix)
+        head, last = levels[k]
+        choices = units[:1] if (canonical_only and not k) else units
+        fixed = head @ np.array(prefix, dtype=np.int64)
+        ok = unit[(fixed + np.multiply.outer(choices, last)) % order].all(axis=1)
+        for a in choices[ok].tolist():
+            if k == dimension - 1:
+                yield ParamVector(prefix + (a,), order)
+            else:
+                yield from extend(prefix + (a,))
 
-    return extend([])
+    return extend(())
 
 
 def minimal_order(dimension: int, max_order: int) -> int | None:
@@ -194,40 +231,14 @@ def minimal_order(dimension: int, max_order: int) -> int | None:
     return None
 
 
-def _need_dimension(v: ParamVector, d: int) -> None:
+def _check(v: ParamVector, d: int) -> ConstraintReport:
     if v.dimension != d:
         raise ValueError(f"expected {d} components, got {v.dimension}")
-
-
-def _component_violations(v: ParamVector) -> list[tuple[str, int]]:
-    out: list[tuple[str, int]] = []
-    for m, a in enumerate(v.alphas):
-        out += _violation(f"component({m})", a, v.order)
-    return out
-
-
-def _pairwise_violations(v: ParamVector) -> list[tuple[str, int]]:
-    out: list[tuple[str, int]] = []
-    d = v.dimension
-    for a_idx in range(d):
-        for b_idx in range(a_idx + 1, d):
-            out += _violation(
-                f"pair_sum({a_idx},{b_idx})",
-                v.alphas[a_idx] + v.alphas[b_idx],
-                v.order,
-            )
-    for a_idx in range(d):
-        for b_idx in range(a_idx + 1, d):
-            out += _violation(
-                f"pair_diff({a_idx},{b_idx})",
-                v.alphas[a_idx] - v.alphas[b_idx],
-                v.order,
-            )
-    return out
-
-
-def _violation(constraint: str, raw: int, n: int) -> list[tuple[str, int]]:
-    value = raw % n
-    if gcd(value, n) == 1:
-        return []
-    return [(constraint, value)]
+    n, alphas = v.order, v.alphas
+    unit = unit_table(n)
+    bad = []
+    for cid, u in DIRECTIONS[d]:
+        value = sum(map(mul, u, alphas)) % n
+        if not unit[value]:
+            bad.append((cid, value))
+    return ConstraintReport(not bad, tuple(bad))

@@ -1,5 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from pandiag import cli
 from pandiag.lattice import build
@@ -236,6 +242,24 @@ def test_verify_out_of_range_symbol_exit_2(capsys):
     assert "values" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dimension": 2, "order": 2, "values": [True, False, False, True]},
+        {"dimension": 2, "order": 2, "values": [1, 0, 0, True]},
+        {"dimension": True, "order": 2, "values": [0, 1]},
+        {"dimension": 2, "order": True, "values": [0]},
+        {"dimension": 2, "order": 5, "values": list(range(5)) * 5, "params": [True, 2]},
+        {"dimension": 2, "order": 5, "values": list(range(5)) * 5, "params": [[1, 2], [1, False]]},
+    ],
+)
+def test_verify_json_booleans_exit_2(capsys, doc):
+    code, out, err = run_cli(capsys, ["verify"], stdin=json.dumps(doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 # search
 
 
@@ -265,6 +289,30 @@ def test_search_limit(capsys):
     code, out, err = run_cli(capsys, ["search", "--dim", "3", "--order", "11", "--limit", "4"])
     assert code == 0
     assert len(out.strip().split("\n")) == 4
+
+
+@pytest.mark.parametrize("limit", ["0", "-1", "-7"])
+def test_search_limit_below_one_exit_2(capsys, limit):
+    code, out, err = run_cli(capsys, ["search", "--dim", "3", "--order", "11", "--limit", limit])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--limit" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pandiag", "search", "--dim", "2", "--order", "5", "--limit", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "1,2\n"
+    assert proc.stderr == "1 feasible vectors\n"
 
 
 def test_search_caps_by_dimension(capsys):

@@ -135,6 +135,10 @@ def test_family_counts():
     assert count_orthogonal_families(2, 3) == 0
     # order 7 has 4 canonical vectors and every ordered distinct pair works
     assert count_orthogonal_families(2, 7) == 12
+    assert count_orthogonal_families(3, 13) == 97392
+    # 48 canonical quads at order 17: 48**4 families exceed the census cap
+    with pytest.raises(ValueError, match="too many candidate families"):
+        count_orthogonal_families(4, 17)
 
 
 def test_count_constructed_product_shape():

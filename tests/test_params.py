@@ -214,3 +214,109 @@ def test_iter_feasible_validates_eagerly():
         iter_feasible(5, 11)
     with pytest.raises(ValueError):
         iter_feasible(2, 1)
+
+
+def _reference_violations(v):
+    """The conditions written out one family at a time, as the checks first
+    stated them, including the three d=4 conditions that repeat a direction."""
+    a, n, d = v.alphas, v.order, v.dimension
+    total = sum(a)
+    rows = [(f"component({m})", a[m]) for m in range(d)]
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    rows += [(f"pair_sum({i},{j})", a[i] + a[j]) for i, j in pairs]
+    rows += [(f"pair_diff({i},{j})", a[i] - a[j]) for i, j in pairs]
+    if d >= 3:
+        rows.append(("total", total))
+    if d == 4:
+        rows += [(f"total_less_component({m})", total - a[m]) for m in range(d)]
+    if d >= 3:
+        rows += [(f"total_less_double({m})", total - 2 * a[m]) for m in range(d)]
+    if d == 4:
+        rows += [
+            (f"total_less_component_less_double({i},{j})", total - a[i] - 2 * a[j])
+            for i in range(d)
+            for j in range(d)
+            if i != j
+        ]
+        rows += [(f"total_less_two_doubles({i},{j})", total - 2 * a[i] - 2 * a[j]) for i, j in pairs]
+    return [(cid, raw % n) for cid, raw in rows if not _coprime(raw % n, n)]
+
+
+def test_violations_keep_ids_order_and_values():
+    # the only change from the condition-by-condition list: the negatives
+    # of total_less_two_doubles(0,1), (0,2) and (0,3) are no longer repeated
+    repeats = {f"total_less_two_doubles({i},{j})" for i, j in ((2, 3), (1, 3), (1, 2))}
+    rng = random.Random(31)
+    for _ in range(1500):
+        n = rng.choice([2, 3, 4, 5, 6, 7, 9, 11, 12, 13, 15, 17, 19, 25, 41, 101, 1000])
+        d = rng.choice([2, 3, 4])
+        v = vec([rng.randrange(1, n) for _ in range(d)], n)
+        expected = [x for x in _reference_violations(v) if x[0] not in repeats]
+        report = check(v)
+        assert list(report.violations) == expected, v
+        assert report.feasible == (not expected)
+
+
+def test_each_direction_listed_once():
+    from pandiag.params import DIRECTIONS
+
+    for d in (2, 3, 4):
+        rows = DIRECTIONS[d]
+        assert len(rows) == (3**d - 1) // 2
+        assert len({cid for cid, _ in rows}) == len(rows)
+        seen = set()
+        for _, u in rows:
+            assert len(u) == d and set(u) <= {-1, 0, 1} and any(u)
+            assert u not in seen and tuple(-c for c in u) not in seen
+            seen.add(u)
+
+
+def test_no_direction_reported_twice():
+    # (1,..,1) fails exactly on the directions with as many -1s as +1s
+    for d, n, count in ((2, 5, 1), (3, 5, 3), (4, 17, 9)):
+        report = check(vec([1] * d, n))
+        assert len(report.violations) == count
+        assert len({cid for cid, _ in report.violations}) == count
+    ids = [cid for cid, _ in check(vec([1, 1, 1, 1], 17)).violations]
+    assert "total_less_two_doubles(0,1)" in ids
+    assert "total_less_two_doubles(2,3)" not in ids
+
+
+def test_pinned_ids_still_reported():
+    from pandiag.params import DIRECTIONS
+
+    pinned = {
+        2: ["component(0)", "component(1)", "pair_sum(0,1)", "pair_diff(0,1)"],
+        3: ["pair_sum(1,2)", "pair_diff(0,2)", "total", "total_less_double(2)"],
+        4: [
+            "total",
+            "total_less_component(3)",
+            "total_less_double(0)",
+            "total_less_component_less_double(1,3)",
+            "total_less_component_less_double(3,1)",
+            "total_less_two_doubles(0,1)",
+            "total_less_two_doubles(0,2)",
+            "total_less_two_doubles(0,3)",
+        ],
+    }
+    for d, ids in pinned.items():
+        table = [cid for cid, _ in DIRECTIONS[d]]
+        for cid in ids:
+            assert cid in table, (d, cid)
+
+
+def test_iter_feasible_yields_lazily(monkeypatch):
+    from pandiag import params
+
+    built = []
+
+    class Counting(params.ParamVector):
+        def __post_init__(self):
+            built.append(self.alphas)
+            super().__post_init__()
+
+    monkeypatch.setattr(params, "ParamVector", Counting)
+    it = params.iter_feasible(4, 41, canonical_only=True)
+    first = [next(it) for _ in range(10)]
+    assert len(built) == 10
+    assert [v.alphas for v in first] == sorted(v.alphas for v in first)
