@@ -30,6 +30,7 @@ from .lattice import (
     Tie,
     build,
     slice_values,
+    value_grid,
 )
 from .magic import MagicArray, compose_checked
 from .modarith import MAX_MODULUS
@@ -58,13 +59,14 @@ class ArrayDocument:
     params: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
+        # the header is checked before it shapes the flat cell list
         if self.dimension not in DIMENSIONS:
             raise InputError(f"dimension must be one of {DIMENSIONS}, got {self.dimension}")
         if not 2 <= self.order <= MAX_ORDER:
             raise InputError(f"order {self.order} outside [2, {MAX_ORDER}]")
         if self.kind not in KINDS:
             raise InputError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        vals = np.array(self.values, dtype=np.int64, order="C")
+        vals = np.asarray(self.values)
         expected = (self.order,) * self.dimension
         if vals.shape != expected:
             if vals.size == self.order**self.dimension and vals.ndim == 1:
@@ -73,11 +75,7 @@ class ArrayDocument:
                 raise InputError(
                     f"values must hold {self.order**self.dimension} cells, got {vals.size}"
                 )
-        top = self.order - 1 if self.kind == "latin" else self.order**self.dimension - 1
-        if vals.size and (vals.min() < 0 or vals.max() > top):
-            raise InputError(f"values must lie in [0, {top}] for kind {self.kind}")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _wrap_input(lambda: value_grid(vals, self.kind)))
         if self.params is not None:
             object.__setattr__(
                 self, "params", tuple(tuple(int(a) for a in vec) for vec in self.params)
@@ -354,11 +352,12 @@ def _cmd_orthogonal(args: argparse.Namespace) -> int:
 
 def _cmd_magic(args: argparse.Namespace) -> int:
     vectors = _parse_family(args.params_list, args.order)
-    dimension = vectors[0].dimension
+    matrix = _wrap_input(lambda: ParamMatrix(vectors))
+    dimension = matrix.dimension
     _check_order_cap(dimension, args.order, args.force)
     perms = _parse_perms(args.perms, dimension, args.order) if args.perms else None
     try:
-        composed = compose_checked(vectors, perms)
+        composed = compose_checked(matrix.rows, perms)
     except ValueError as exc:
         print(f"composition rejected: {exc}", file=sys.stderr)
         return 1
@@ -373,7 +372,7 @@ def _cmd_magic(args: argparse.Namespace) -> int:
         args.order,
         composed.values,
         "magic",
-        tuple(v.alphas for v in vectors),
+        tuple(v.alphas for v in matrix.rows),
     )
     _emit(doc, args.format, args.one_based, args.output)
     return 0
@@ -547,3 +546,7 @@ def _wrap_input(fn):
         return fn()
     except ValueError as exc:
         raise InputError(str(exc)) from None
+
+
+if __name__ == "__main__":
+    main()

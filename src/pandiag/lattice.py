@@ -3,11 +3,19 @@
 Coordinates are (x_0 .. x_{d-1}) with axis 0 slowest; for a square that
 means axis 0 indexes rows top to bottom and axis 1 indexes columns left to
 right.  Values live in [0, n-1] as int64.
+
+Every 2-D view, a SliceSpec as well as a constituent square of the
+verifier, is read through one binding form: a tuple with one entry per
+axis of the array, either ("const", v), which pins the coordinate to v,
+or (local_axis, flip), which follows the view's row (0) or column (1)
+index, reversed to n-1-x when flip is set.  cell_index turns bindings
+into array indices and gather reads the view's n x n grid with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -18,6 +26,31 @@ from .params import DIMENSIONS, ParamVector
 MAX_ORDER = 101
 
 AXIS_NAMES = "ijkl"
+
+
+def value_grid(values: np.ndarray, kind: str = "latin") -> np.ndarray:
+    """values as a read-only C-ordered int64 grid, after checking its shape and range.
+
+    The grid must have 2, 3 or 4 axes of one length n in [2, MAX_ORDER].
+    Entries must lie in [0, n-1] for kind "latin" and in [0, n**d - 1]
+    for kind "magic".
+    """
+    try:
+        vals = np.array(values, dtype=np.int64, order="C")
+    except OverflowError:
+        raise ValueError("values must fit in 64-bit integers") from None
+    if vals.ndim not in DIMENSIONS:
+        raise ValueError(f"array must have 2, 3 or 4 axes, got {vals.ndim}")
+    n = vals.shape[0]
+    if any(s != n for s in vals.shape):
+        raise ValueError(f"array must be square along every axis, got {vals.shape}")
+    if not 2 <= n <= MAX_ORDER:
+        raise ValueError(f"order {n} outside [2, {MAX_ORDER}]")
+    top = n - 1 if kind == "latin" else n**vals.ndim - 1
+    if vals.size and (vals.min() < 0 or vals.max() > top):
+        raise ValueError(f"values must lie in [0, {top}]")
+    vals.flags.writeable = False
+    return vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,20 +67,10 @@ class LatinArray:
     params: ParamVector | None = None
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=np.int64, order="C")
-        if vals.ndim not in DIMENSIONS:
-            raise ValueError(f"array must have 2, 3 or 4 axes, got {vals.ndim}")
-        n = vals.shape[0]
-        if any(s != n for s in vals.shape):
-            raise ValueError(f"array must be square along every axis, got {vals.shape}")
-        if not 2 <= n <= MAX_ORDER:
-            raise ValueError(f"order {n} outside [2, {MAX_ORDER}]")
-        if vals.size and (vals.min() < 0 or vals.max() > n - 1):
-            raise ValueError(f"values must lie in [0, {n - 1}]")
+        vals = value_grid(self.values)
         if self.params is not None:
-            if self.params.dimension != vals.ndim or self.params.order != n:
+            if self.params.dimension != vals.ndim or self.params.order != vals.shape[0]:
                 raise ValueError("params do not match array dimension/order")
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property
@@ -116,25 +139,51 @@ def slice_values(values: np.ndarray, spec: SliceSpec) -> np.ndarray:
         raise ValueError(
             f"spec must bind every axis of a {d}-D array exactly once"
         )
-    coords = np.arange(n)
-    rows = coords[:, None]
-    cols = coords[None, :]
-    index: list[object] = [None] * d
-    index[spec.row_axis] = rows
-    index[spec.col_axis] = cols
+    axes: list[tuple] = [()] * d
+    axes[spec.row_axis] = (0, False)
+    axes[spec.col_axis] = (1, False)
     for axis, binding in spec.fixed.items():
         if isinstance(binding, Tie):
             if binding.axis not in free:
                 raise ValueError(
                     f"tie on axis {axis} must reference a free axis, got {binding.axis}"
                 )
-            base = rows if binding.axis == spec.row_axis else cols
-            index[axis] = (n - 1) - base if binding.anti else base
+            axes[axis] = (free.index(binding.axis), binding.anti)
         else:
             if not 0 <= int(binding) < n:
                 raise ValueError(f"fixed coordinate {binding} outside [0, {n - 1}]")
-            index[axis] = int(binding)
-    return values[tuple(index)]
+            axes[axis] = ("const", int(binding))
+    return gather(values, axes)
+
+
+def gather(values: np.ndarray, axes: Sequence[tuple]) -> np.ndarray:
+    """The n x n grid of a 2-D view given by one binding per axis of values."""
+    n = values.shape[0]
+    return values[cell_index(axes, _local_coords(n), n)]
+
+
+def cell_index(axes: Sequence[tuple], local: Sequence, order: int) -> tuple:
+    """Index into the full array of the view's local coordinates.
+
+    local holds the row and column coordinates, as integers for one cell
+    or as broadcastable index arrays for many.
+    """
+    index = []
+    for src, arg in axes:
+        if src == "const":
+            index.append(arg)
+        else:
+            x = local[src]
+            index.append((order - 1) - x if arg else x)
+    return tuple(index)
+
+
+@lru_cache(maxsize=None)
+def _local_coords(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of an n x n view, read-only because they are shared."""
+    rows, cols = np.ogrid[:n, :n]
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def permute_symbols(a: LatinArray, perm: Sequence[int]) -> LatinArray:

@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import MAX_ORDER, LatinArray, build, permute_symbols
+from .lattice import LatinArray, build, permute_symbols, value_grid
 from .modarith import gcd
-from .orthogonal import ParamMatrix, determinant, unit_determinant_masks
+from .orthogonal import ParamMatrix, determinant, superpose, unit_determinant_masks
 from .params import DIMENSIONS, ParamVector, check, enumerate_feasible
 
 # distinct-grid counting materializes every family x relabeling combination;
@@ -44,19 +44,7 @@ class MagicArray:
     perms: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=np.int64, order="C")
-        if vals.ndim not in DIMENSIONS:
-            raise ValueError(f"array must have 2, 3 or 4 axes, got {vals.ndim}")
-        n = vals.shape[0]
-        if any(s != n for s in vals.shape):
-            raise ValueError(f"array must be square along every axis, got {vals.shape}")
-        if not 2 <= n <= MAX_ORDER:
-            raise ValueError(f"order {n} outside [2, {MAX_ORDER}]")
-        top = n ** vals.ndim - 1
-        if vals.size and (vals.min() < 0 or vals.max() > top):
-            raise ValueError(f"values must lie in [0, {top}]")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", value_grid(self.values, "magic"))
 
     @property
     def order(self) -> int:
@@ -82,19 +70,7 @@ def compose(arrays: Sequence[LatinArray]) -> MagicArray:
     No orthogonality or latin-ness is required here; degenerate input
     simply produces an array that fails verification.
     """
-    if not arrays:
-        raise ValueError("need at least one array")
-    d = arrays[0].dimension
-    n = arrays[0].order
-    for a in arrays:
-        if a.dimension != d or a.order != n:
-            raise ValueError("mismatched shapes: arrays must share dimension and order")
-    if len(arrays) != d:
-        raise ValueError(f"need exactly {d} arrays for dimension {d}, got {len(arrays)}")
-    code = np.zeros(arrays[0].values.shape, dtype=np.int64)
-    for a in arrays:
-        code = code * n + a.values
-    return MagicArray(code)
+    return MagicArray(superpose(arrays))
 
 
 def decompose(m: MagicArray) -> list[LatinArray]:
@@ -117,21 +93,14 @@ def compose_checked(
     (one bijection per array) before composing, which preserves both
     orthogonality and pandiagonality.
     """
-    vectors = tuple(vectors)
-    if not vectors:
-        raise ValueError("need at least one vector")
-    d = vectors[0].dimension
-    n = vectors[0].order
-    if len(vectors) != d:
-        raise ValueError(f"need exactly {d} vectors for dimension {d}, got {len(vectors)}")
+    matrix = ParamMatrix(vectors)
+    vectors, d, n = matrix.rows, matrix.dimension, matrix.order
     for v in vectors:
-        if v.dimension != d or v.order != n:
-            raise ValueError("all vectors must share dimension and order")
         report = check(v)
         if not report.feasible:
             names = ", ".join(c for c, _ in report.violations)
             raise ValueError(f"hypothesis failed: {v} is infeasible ({names})")
-    det = determinant(ParamMatrix(vectors))
+    det = determinant(matrix)
     g = gcd(det % n, n)
     if g != 1:
         raise ValueError(

@@ -88,6 +88,15 @@ def verify_orthogonal_brute(arrays: Sequence[LatinArray]) -> bool:
     Independent of the determinant shortcut; works on any arrays of equal
     shape, one per axis of their common dimension.
     """
+    code = superpose(arrays)
+    return int(np.unique(code).size) == code.size
+
+
+def superpose(arrays: Sequence[LatinArray]) -> np.ndarray:
+    """Each cell's value tuple as one base-n integer, the first array most significant.
+
+    Needs exactly d arrays sharing dimension d and order n.
+    """
     if not arrays:
         raise ValueError("need at least one array")
     d = arrays[0].dimension
@@ -97,11 +106,10 @@ def verify_orthogonal_brute(arrays: Sequence[LatinArray]) -> bool:
             raise ValueError("mismatched shapes: arrays must share dimension and order")
     if len(arrays) != d:
         raise ValueError(f"need exactly {d} arrays for dimension {d}, got {len(arrays)}")
-    # encode each cell's value tuple as one base-n integer, then count
     code = np.zeros(arrays[0].values.shape, dtype=np.int64)
     for a in arrays:
         code = code * n + a.values
-    return int(np.unique(code).size) == n**d
+    return code
 
 
 def unit_determinant_masks(rows: np.ndarray, order: int) -> Iterator[np.ndarray]:

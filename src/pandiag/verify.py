@@ -1,12 +1,14 @@
 """Construction-blind verification by exhaustive line enumeration.
 
-A d-dimensional array is checked through its constituent squares: the
-single square itself for d=2; for d=3 the 3n axis-parallel squares plus 6
-diagonal squares (two axes tied equal or summing to n-1); for d=4 the
-4n+12 constituent cubes, each expanded recursively into its own 3n+6
-squares.  Every square contributes 4n lines: n rows, n columns, n wrapped
-diagonals in each of the two orientations (offset 0 being the two main
-diagonals).
+A d-dimensional array is checked through its constituent squares, built
+by one rule applied d-2 times: the (k-1)-boxes of a k-box fix one local
+axis to a value (k*n of them) or tie two local axes a<b equal or summing
+to n-1 (2*C(k,2) of them; the tied pair becomes the first local axis and
+the rest follow in order).  That gives the single square itself for d=2,
+3n+6 squares for d=3, and for d=4 the 4n+12 constituent cubes with 3n+6
+squares each.  Every square contributes 4n lines: n rows, n columns, n
+wrapped diagonals in each of the two orientations (offset 0 being the two
+main diagonals).
 
 The verifier reads only the value grid, never construction provenance.
 Squares are scanned in a fixed documented order and lines within a square
@@ -23,7 +25,8 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .lattice import AXIS_NAMES, LatinArray
+from .lattice import AXIS_NAMES, LatinArray, cell_index, gather
+from .params import DIMENSIONS
 
 if TYPE_CHECKING:  # pragma: no cover
     from .magic import MagicArray
@@ -39,10 +42,11 @@ _CHUNK = 256
 class SquareView:
     """One constituent square of a larger array.
 
-    axes holds one binding per global axis: ("const", v) pins a coordinate,
-    ("row", flip) / ("col", flip) map the square's own row or column index
-    onto the axis, reversed when flip is set.  Anti ties (coordinates
-    summing to n-1) are exactly the flipped bindings.
+    axes holds one binding per global axis in the lattice binding form:
+    ("const", v) pins a coordinate, (0, flip) / (1, flip) map the square's
+    own row or column index onto the axis, reversed when flip is set.
+    Anti ties (coordinates summing to n-1) are exactly the flipped
+    bindings.
     """
 
     order: int
@@ -51,28 +55,11 @@ class SquareView:
 
     def materialize(self, values: np.ndarray) -> np.ndarray:
         """Gather the square's n x n grid out of the full array."""
-        n = self.order
-        rows, cols = _row_col_index(n)
-        index: list[object] = []
-        for kind, arg in self.axes:
-            if kind == "const":
-                index.append(arg)
-            else:
-                base = rows if kind == "row" else cols
-                index.append((n - 1) - base if arg else base)
-        return values[tuple(index)]
+        return gather(values, self.axes)
 
     def embed(self, r: int, c: int) -> tuple[int, ...]:
         """Global coordinates of the square's local cell (r, c)."""
-        n = self.order
-        out = []
-        for kind, arg in self.axes:
-            if kind == "const":
-                out.append(arg)
-            else:
-                x = r if kind == "row" else c
-                out.append((n - 1) - x if arg else x)
-        return tuple(out)
+        return cell_index(self.axes, (r, c), self.order)
 
 
 @dataclass(frozen=True)
@@ -110,34 +97,28 @@ class VerificationReport:
 @lru_cache(maxsize=None)
 def enumerate_squares(dimension: int, order: int) -> tuple[SquareView, ...]:
     """All constituent squares in canonical scan order."""
+    if dimension not in DIMENSIONS:
+        raise ValueError(f"dimension must be 2, 3 or 4, got {dimension}")
     n = order
-    if dimension == 2:
-        return (
-            SquareView(n, "square", (("row", False), ("col", False))),
+    # (labels, local axis names, bindings of the global axes) of each box
+    boxes = iter([((), AXIS_NAMES[:dimension], _unbound(dimension))])
+    for _ in range(dimension - 2):
+        boxes = (
+            (labels + (label,), sub_names, sub_axes)
+            for labels, names, axes in boxes
+            for label, sub_names, sub_axes in _faces(n, names, axes)
         )
-    if dimension == 3:
-        return tuple(
-            SquareView(n, sq_id, axes)
-            for sq_id, axes in _box_square_specs(n, AXIS_NAMES[:3])
-        )
-    if dimension == 4:
-        out = []
-        for cube_id, cube_axes, local_names in _cube_specs(n):
-            for sq_id, sq_axes in _box_square_specs(n, local_names):
-                out.append(
-                    SquareView(
-                        n,
-                        f"cube({cube_id})/{sq_id}",
-                        _compose(cube_axes, sq_axes, n),
-                    )
-                )
-        return tuple(out)
-    raise ValueError(f"dimension must be 2, 3 or 4, got {dimension}")
+    return tuple(
+        SquareView(n, "".join(f"cube({x})/" for x in labels[:-1]) + labels[-1], axes)
+        if labels
+        else SquareView(n, "square", axes)
+        for labels, _, axes in boxes
+    )
 
 
 def enumerate_cubes(order: int) -> list[str]:
     """Ids of the 4n+12 constituent cubes of a 4-D array."""
-    return [cube_id for cube_id, _, _ in _cube_specs(order)]
+    return [label for label, _, _ in _faces(order, AXIS_NAMES, _unbound(4))]
 
 
 def enumerate_lines(square: SquareView) -> list[Line]:
@@ -289,83 +270,48 @@ def _line_at(square: SquareView, index: int) -> Line:
     return Line(cells, kind, square.square_id)
 
 
-def _box_square_specs(
-    n: int, names: Sequence[str]
-) -> Iterator[tuple[str, tuple[tuple, ...]]]:
-    """The 3n+6 squares of an n^3 box, axes named for readable ids."""
-    for a in range(3):
-        rem = [x for x in range(3) if x != a]
-        for v in range(n):
-            axes: list[tuple] = [()] * 3
-            axes[a] = ("const", v)
-            axes[rem[0]] = ("row", False)
-            axes[rem[1]] = ("col", False)
-            yield f"{names[a]}={v}", tuple(axes)
-    for a, b in combinations(range(3), 2):
-        c = 3 - a - b
-        for anti in (False, True):
-            axes = [()] * 3
-            axes[a] = ("row", False)
-            axes[b] = ("row", anti)
-            axes[c] = ("col", False)
-            label = f"{names[a]}+{names[b]}={n - 1}" if anti else f"{names[a]}={names[b]}"
-            yield label, tuple(axes)
+def _unbound(dimension: int) -> tuple[tuple, ...]:
+    """Bindings of the whole array as a box: global axis x is local axis x."""
+    return tuple((x, False) for x in range(dimension))
 
 
-def _cube_specs(
-    n: int,
-) -> Iterator[tuple[str, tuple[tuple, ...], tuple[str, str, str]]]:
-    """The 4n+12 constituent cubes of an n^4 array.
+def _faces(
+    n: int, names: Sequence[str], axes: tuple[tuple, ...]
+) -> Iterator[tuple[str, tuple[str, ...], tuple[tuple, ...]]]:
+    """The (k-1)-boxes of a k-box as (label, local axis names, global bindings).
 
-    Each cube binds the four global axes to a constant or to one of three
-    cube-local axes (with an optional reversal for anti ties) and carries
-    names for those local axes so nested square ids stay readable.
+    names labels the box's k local axes and axes binds every global axis
+    to a constant or to one of them.  A face fixes local axis a to v, or
+    ties local axes a<b equal or anti; the tied pair becomes the face's
+    first local axis and the remaining axes follow in order.
     """
-    names = AXIS_NAMES
-    for a in range(4):
-        rem = [x for x in range(4) if x != a]
-        for v in range(n):
-            axes: list[tuple] = [()] * 4
-            axes[a] = ("const", v)
-            for local, g in enumerate(rem):
-                axes[g] = (local, False)
-            yield f"{names[a]}={v}", tuple(axes), tuple(names[g] for g in rem)
-    for a, b in combinations(range(4), 2):
-        rem = [x for x in range(4) if x not in (a, b)]
-        for anti in (False, True):
-            axes = [()] * 4
-            axes[a] = (0, False)
-            axes[b] = (0, anti)
-            axes[rem[0]] = (1, False)
-            axes[rem[1]] = (2, False)
-            label = f"{names[a]}+{names[b]}={n - 1}" if anti else f"{names[a]}={names[b]}"
-            local = (f"{names[a]}{names[b]}", names[rem[0]], names[rem[1]])
-            yield label, tuple(axes), local
+    k = len(names)
 
-
-def _compose(
-    cube_axes: tuple[tuple, ...], square_axes: tuple[tuple, ...], n: int
-) -> tuple[tuple, ...]:
-    """Bindings of a square inside a cube, pushed out to global axes."""
-    out = []
-    for binding in cube_axes:
-        if binding[0] == "const":
+    def bind(face: dict[int, tuple]) -> tuple[tuple, ...]:
+        # face maps each local axis of the box to ("const", v) or (face axis, flip)
+        out = []
+        for binding in axes:
+            src, arg = binding
+            if src != "const":
+                binding = face[src]
+                if arg:  # the box runs this axis reversed
+                    src, x = binding
+                    binding = ("const", (n - 1) - x) if src == "const" else (src, not x)
             out.append(binding)
-            continue
-        local, flip = binding
-        kind, arg = square_axes[local]
-        if kind == "const":
-            out.append(("const", (n - 1) - arg if flip else arg))
-        else:
-            out.append((kind, bool(arg) ^ bool(flip)))
-    return tuple(out)
+        return tuple(out)
 
-
-@lru_cache(maxsize=None)
-def _row_col_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    coords = np.arange(n)
-    rows = coords[:, None].copy()
-    cols = coords[None, :].copy()
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
+    for a in range(k):
+        rest = [x for x in range(k) if x != a]
+        sub_names = tuple(names[x] for x in rest)
+        face = {x: (i, False) for i, x in enumerate(rest)}
+        for v in range(n):
+            face[a] = ("const", v)
+            yield f"{names[a]}={v}", sub_names, bind(face)
+    for a, b in combinations(range(k), 2):
+        rest = [x for x in range(k) if x not in (a, b)]
+        sub_names = (names[a] + names[b], *(names[x] for x in rest))
+        face = {a: (0, False), **{x: (i, False) for i, x in enumerate(rest, 1)}}
+        for anti in (False, True):
+            face[b] = (0, anti)
+            label = f"{names[a]}+{names[b]}={n - 1}" if anti else f"{names[a]}={names[b]}"
+            yield label, sub_names, bind(face)

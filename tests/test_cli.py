@@ -299,17 +299,28 @@ def test_search_limit_below_one_exit_2(capsys, limit):
     assert err.startswith("error:") and "--limit" in err
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(module, *argv):
     src = Path(__file__).resolve().parent.parent / "src"
     path = [str(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pandiag", "search", "--dim", "2", "--order", "5", "--limit", "1"],
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_module("pandiag", "search", "--dim", "2", "--order", "5", "--limit", "1")
+    assert proc.returncode == 0
+    assert proc.stdout == "1,2\n"
+    assert proc.stderr == "1 feasible vectors\n"
+
+
+def test_python_dash_m_cli_module_runs_the_cli():
+    proc = run_module("pandiag.cli", "search", "--dim", "2", "--order", "5", "--limit", "1")
     assert proc.returncode == 0
     assert proc.stdout == "1,2\n"
     assert proc.stderr == "1 feasible vectors\n"
@@ -382,6 +393,15 @@ def test_orthogonal_infeasible_family_exit_1(capsys):
 def test_orthogonal_wrong_row_count_exit_2(capsys):
     code, _, err = run_cli(capsys, ["orthogonal", "--order", "5", "--params-list", "1,2"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["orthogonal", "magic"])
+@pytest.mark.parametrize("family", ["1,2;1,2,3", "1,2"])
+def test_malformed_family_exit_2(capsys, command, family):
+    code, out, err = run_cli(capsys, [command, "--order", "5", "--params-list", family])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 # magic

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import (
     CUBE_SLICE_DIAG,
@@ -10,6 +12,7 @@ from fixtures import (
     PANDIAGONAL_5A,
     PANDIAGONAL_5B,
 )
+from pandiag.cli import ArrayDocument, InputError
 from pandiag.lattice import (
     LatinArray,
     SliceSpec,
@@ -17,8 +20,10 @@ from pandiag.lattice import (
     build,
     permute_symbols,
     shift_axis,
+    slice_values,
     slice_view,
 )
+from pandiag.magic import MagicArray
 from pandiag.params import ParamVector, scale
 
 
@@ -106,6 +111,60 @@ def test_slice_validation_errors():
         slice_view(a, SliceSpec(0, 1, {2: Tie(2)}))
     with pytest.raises(ValueError, match="outside"):
         slice_view(a, SliceSpec(0, 1, {2: 11}))
+
+
+@st.composite
+def slice_cases(draw):
+    """A value grid with distinct cells and any valid SliceSpec of it, d=3 or d=4."""
+    d = draw(st.sampled_from((3, 4)))
+    n = draw(st.integers(2, 6))
+    row, col, *bound = draw(st.permutations(range(d)))
+    binding = st.one_of(
+        st.integers(0, n - 1),
+        st.builds(Tie, st.sampled_from((row, col)), st.booleans()),
+    )
+    fixed = {axis: draw(binding) for axis in bound}
+    return np.arange(n**d).reshape((n,) * d), SliceSpec(row, col, fixed)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(slice_cases())
+def test_slice_values_matches_cell_loop(case):
+    values, spec = case
+    n = values.shape[0]
+    grid = slice_values(values, spec)
+    for r in range(n):
+        for c in range(n):
+            cell = [0] * values.ndim
+            cell[spec.row_axis], cell[spec.col_axis] = r, c
+            for axis, binding in spec.fixed.items():
+                if isinstance(binding, Tie):
+                    x = r if binding.axis == spec.row_axis else c
+                    cell[axis] = n - 1 - x if binding.anti else x
+                else:
+                    cell[axis] = binding
+            assert grid[r, c] == values[tuple(cell)]
+
+
+BAD_GRIDS = [
+    pytest.param(np.zeros(5, dtype=int), id="one-axis"),
+    pytest.param(np.zeros((2,) * 5, dtype=int), id="five-axes"),
+    pytest.param(np.zeros((3, 4), dtype=int), id="not-square"),
+    pytest.param(np.zeros((1, 1), dtype=int), id="order-1"),
+    pytest.param(np.zeros((102, 102), dtype=int), id="order-102"),
+    pytest.param(np.full((3, 3), 9), id="above-range"),
+    pytest.param(np.full((3, 3), -1), id="below-range"),
+    pytest.param(np.array([[0, 2**70], [1, 0]], dtype=object), id="beyond-int64"),
+]
+
+
+@pytest.mark.parametrize("kind, array_type", [("latin", LatinArray), ("magic", MagicArray)])
+@pytest.mark.parametrize("grid", BAD_GRIDS)
+def test_bad_grids_rejected_by_every_array_type(grid, kind, array_type):
+    with pytest.raises(ValueError):
+        array_type(grid)
+    with pytest.raises(InputError):
+        ArrayDocument(grid.ndim, grid.shape[0], grid, kind)
 
 
 def test_permute_symbols_fixture_pair():

@@ -101,6 +101,15 @@ def test_compose_checked_rejects_non_orthogonal():
         compose_checked(vectors)
 
 
+def test_compose_checked_rejects_malformed_family():
+    with pytest.raises(ValueError, match="exactly 2 rows"):
+        compose_checked([ParamVector((1, 2), 5)])
+    with pytest.raises(ValueError, match="share dimension and order"):
+        compose_checked([ParamVector((1, 2), 5), ParamVector((1, 2), 7)])
+    with pytest.raises(ValueError, match="share dimension and order"):
+        compose_checked([ParamVector((1, 2), 11), ParamVector((1, 2, 7), 11)])
+
+
 def test_compose_checked_applies_perms():
     perms = [[4, 3, 2, 1, 0], [1, 2, 3, 4, 0]]
     m = compose_checked(

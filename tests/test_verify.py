@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from fixtures import (
     PANDIAGONAL_5A,
     PANDIAGONAL_5B,
 )
-from pandiag.lattice import LatinArray, build
+from pandiag.lattice import LatinArray, SliceSpec, Tie, build, slice_values
 from pandiag.magic import MagicArray
 from pandiag.params import ParamVector
 from pandiag.verify import (
@@ -186,3 +188,130 @@ def test_line_identities_on_diagonal_squares():
             from_grid = [int(grid[r, c]) for r, c in local]
             from_embed = [int(values[cell]) for cell in line.cells]
             assert from_grid == from_embed
+
+
+# The square builders the constituent rule replaced, kept as the reference
+# for square ids, scan order and bindings.  Their bindings read ("const", v),
+# ("row", flip) or ("col", flip) per global axis.
+
+
+def _seed_box_square_specs(n, names):
+    """The 3n+6 squares of an n^3 box, axes named for readable ids."""
+    for a in range(3):
+        rem = [x for x in range(3) if x != a]
+        for v in range(n):
+            axes = [()] * 3
+            axes[a] = ("const", v)
+            axes[rem[0]] = ("row", False)
+            axes[rem[1]] = ("col", False)
+            yield f"{names[a]}={v}", tuple(axes)
+    for a, b in combinations(range(3), 2):
+        c = 3 - a - b
+        for anti in (False, True):
+            axes = [()] * 3
+            axes[a] = ("row", False)
+            axes[b] = ("row", anti)
+            axes[c] = ("col", False)
+            label = f"{names[a]}+{names[b]}={n - 1}" if anti else f"{names[a]}={names[b]}"
+            yield label, tuple(axes)
+
+
+def _seed_cube_specs(n):
+    """The 4n+12 constituent cubes of an n^4 array, with names for their local axes."""
+    names = "ijkl"
+    for a in range(4):
+        rem = [x for x in range(4) if x != a]
+        for v in range(n):
+            axes = [()] * 4
+            axes[a] = ("const", v)
+            for local, g in enumerate(rem):
+                axes[g] = (local, False)
+            yield f"{names[a]}={v}", tuple(axes), tuple(names[g] for g in rem)
+    for a, b in combinations(range(4), 2):
+        rem = [x for x in range(4) if x not in (a, b)]
+        for anti in (False, True):
+            axes = [()] * 4
+            axes[a] = (0, False)
+            axes[b] = (0, anti)
+            axes[rem[0]] = (1, False)
+            axes[rem[1]] = (2, False)
+            label = f"{names[a]}+{names[b]}={n - 1}" if anti else f"{names[a]}={names[b]}"
+            local = (f"{names[a]}{names[b]}", names[rem[0]], names[rem[1]])
+            yield label, tuple(axes), local
+
+
+def _seed_compose(cube_axes, square_axes, n):
+    """Bindings of a square inside a cube, pushed out to global axes."""
+    out = []
+    for binding in cube_axes:
+        if binding[0] == "const":
+            out.append(binding)
+            continue
+        local, flip = binding
+        kind, arg = square_axes[local]
+        if kind == "const":
+            out.append(("const", (n - 1) - arg if flip else arg))
+        else:
+            out.append((kind, bool(arg) ^ bool(flip)))
+    return tuple(out)
+
+
+def _seed_squares(d, n):
+    if d == 2:
+        return [("square", (("row", False), ("col", False)))]
+    if d == 3:
+        return list(_seed_box_square_specs(n, "ijk"))
+    return [
+        (f"cube({cube_id})/{sq_id}", _seed_compose(cube_axes, sq_axes, n))
+        for cube_id, cube_axes, names in _seed_cube_specs(n)
+        for sq_id, sq_axes in _seed_box_square_specs(n, names)
+    ]
+
+
+def _seed_index(axes, r, c, n):
+    index = []
+    for kind, arg in axes:
+        if kind == "const":
+            index.append(arg)
+        else:
+            x = r if kind == "row" else c
+            index.append((n - 1) - x if arg else x)
+    return tuple(index)
+
+
+@pytest.mark.parametrize("d, n", [(2, 5), (3, 5), (3, 11), (4, 5), (4, 17)])
+def test_squares_match_seed_builders(d, n):
+    squares = enumerate_squares(d, n)
+    seed = _seed_squares(d, n)
+    assert [sq.square_id for sq in squares] == [sq_id for sq_id, _ in seed]
+    if d == 4:
+        assert enumerate_cubes(n) == [cube_id for cube_id, _, _ in _seed_cube_specs(n)]
+    # every cell holds a distinct value, so equal grids mean equal cell maps
+    values = np.arange(n**d).reshape((n,) * d)
+    rows, cols = np.arange(n)[:, None], np.arange(n)[None, :]
+    for sq, (_, axes) in zip(squares, seed):
+        assert np.array_equal(sq.materialize(values), values[_seed_index(axes, rows, cols, n)])
+        for r, c in ((0, 0), (0, n - 1), (n - 1, 2), (3, 1)):
+            assert sq.embed(r, c) == _seed_index(axes, r, c, n)
+
+
+def test_slice_spec_and_square_view_agree():
+    n = 11
+    squares = {sq.square_id: sq for sq in enumerate_squares(3, n)}
+    cases = [
+        (SliceSpec(0, 2, {1: Tie(0)}), "i=j"),
+        (SliceSpec(0, 2, {1: Tie(0, anti=True)}), "i+j=10"),
+        *((SliceSpec(0, 1, {2: c}), f"k={c}") for c in range(n)),
+    ]
+    values = np.arange(n**3).reshape((n,) * 3)
+    for spec, square_id in cases:
+        assert np.array_equal(slice_values(values, spec), squares[square_id].materialize(values))
+    n = 17
+    squares = {sq.square_id: sq for sq in enumerate_squares(4, n)}
+    cases = [
+        (SliceSpec(0, 2, {1: Tie(0), 3: 3}), "cube(l=3)/i=j"),
+        (SliceSpec(1, 2, {0: Tie(1, anti=True), 3: Tie(1, anti=True)}), "cube(j+l=16)/jl+i=16"),
+    ]
+    values = np.arange(n**4).reshape((n,) * 4)
+    for spec, square_id in cases:
+        assert np.array_equal(slice_values(values, spec), squares[square_id].materialize(values))
