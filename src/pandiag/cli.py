@@ -471,6 +471,7 @@ def _parse_slice_spec(text: str, dimension: int, order: int) -> SliceSpec:
 
     In a tie the first-named axis is the bound one and the second stays
     free; the remaining free axes become rows then columns in axis order.
+    Coordinate ranges and tie targets are left to slice_values.
     """
     names = AXIS_NAMES[:dimension]
     fixed: dict[int, int | Tie] = {}
@@ -478,11 +479,7 @@ def _parse_slice_spec(text: str, dimension: int, order: int) -> SliceSpec:
     tokens = [t.strip() for t in text.split(",") if t.strip()] if text.strip() else []
     for token in tokens:
         if m := _CONST_RE.match(token):
-            axis = _axis_index(m.group(1), names)
-            value = int(m.group(2))
-            if not 0 <= value < order:
-                raise InputError(f"coordinate {value} outside [0, {order - 1}] in {token!r}")
-            _claim(fixed, axis, value, token)
+            _claim(fixed, _axis_index(m.group(1), names), int(m.group(2)), token)
         elif m := _EQUAL_RE.match(token):
             bound = _axis_index(m.group(1), names)
             target = _axis_index(m.group(2), names)
@@ -506,11 +503,6 @@ def _parse_slice_spec(text: str, dimension: int, order: int) -> SliceSpec:
         raise InputError(
             f"slice must leave exactly 2 axes free, got {len(free)} for dimension {dimension}"
         )
-    for binding in fixed.values():
-        if isinstance(binding, Tie) and binding.axis not in free:
-            raise InputError(
-                f"tie target {names[binding.axis]} is not free; name the free axis second"
-            )
     return SliceSpec(free[0], free[1], fixed)
 
 

@@ -11,9 +11,14 @@ wrapped diagonals in each of the two orientations (offset 0 being the two
 main diagonals).
 
 The verifier reads only the value grid, never construction provenance.
-Squares are scanned in a fixed documented order and lines within a square
-in the order rows, columns, diagonal-plus, diagonal-minus, so the first
-reported failure is deterministic.
+Bindings never wrap, so each square is a flat affine map: its cell (r, c)
+is the flat cell origin + r*row_step + c*col_step of the array.  One line
+table holds the local cells of a square's lines (rows, columns,
+diagonal-plus, diagonal-minus); the scan, the failure report and
+enumerate_lines all read it.  The scan gathers the lines of a chunk of
+squares, sized in cells, with one fancy index and tests each line with
+one sort (latin) or one sum (magic).  Squares are scanned in a fixed
+documented order, so the first reported failure is deterministic.
 """
 
 from __future__ import annotations
@@ -21,21 +26,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .lattice import AXIS_NAMES, LatinArray, cell_index, gather
+from .magic import MagicArray, sigma
 from .params import DIMENSIONS
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .magic import MagicArray
 
 LINE_KINDS = ("row", "column", "diagonal-plus", "diagonal-minus")
 
-# squares are checked in batches to keep fancy-indexing overhead down while
-# still letting fail_fast stop early on big d=4 scans
-_CHUNK = 256
+# cells gathered per chunk of squares: enough to amortise the per-chunk
+# overhead, few enough to keep the scan's memory flat and fail_fast early
+_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,7 @@ def enumerate_squares(dimension: int, order: int) -> tuple[SquareView, ...]:
     """All constituent squares in canonical scan order."""
     if dimension not in DIMENSIONS:
         raise ValueError(f"dimension must be 2, 3 or 4, got {dimension}")
+    _check_order(order)
     n = order
     # (labels, local axis names, bindings of the global axes) of each box
     boxes = iter([((), AXIS_NAMES[:dimension], _unbound(dimension))])
@@ -118,13 +122,13 @@ def enumerate_squares(dimension: int, order: int) -> tuple[SquareView, ...]:
 
 def enumerate_cubes(order: int) -> list[str]:
     """Ids of the 4n+12 constituent cubes of a 4-D array."""
+    _check_order(order)
     return [label for label, _, _ in _faces(order, AXIS_NAMES, _unbound(4))]
 
 
 def enumerate_lines(square: SquareView) -> list[Line]:
     """The 4n lines of one square, in canonical order."""
-    n = square.order
-    return [_line_at(square, idx) for idx in range(4 * n)]
+    return [_line_at(square, idx) for idx in range(4 * square.order)]
 
 
 def verify_latin_pandiagonal(a: LatinArray, fail_fast: bool = False) -> VerificationReport:
@@ -141,7 +145,7 @@ def verify_latin_pandiagonal(a: LatinArray, fail_fast: bool = False) -> Verifica
     )
 
 
-def verify_magic_pandiagonal(m: "MagicArray", fail_fast: bool = False) -> VerificationReport:
+def verify_magic_pandiagonal(m: MagicArray, fail_fast: bool = False) -> VerificationReport:
     """Check a candidate magic array by line sums.
 
     First requires the values to be a permutation of 0..n**d - 1, then
@@ -150,7 +154,7 @@ def verify_magic_pandiagonal(m: "MagicArray", fail_fast: bool = False) -> Verifi
     columns), magic (plus both main diagonals of every square).
     """
     n, d = m.order, m.dimension
-    target = n * (n**d - 1) // 2
+    target = sigma(d, n)
     counts = np.bincount(m.values.ravel(), minlength=n**d)
     if counts.max() > 1:
         rep = int(np.argmax(counts > 1))
@@ -179,95 +183,82 @@ def _scan(
 ) -> VerificationReport:
     n, d = values.shape[0], values.ndim
     squares = enumerate_squares(d, n)
+    table = _square_table(d, n)
+    rows, cols = _line_table(n)
+    step = max(1, _CHUNK_CELLS // rows.size)
     lines_checked = len(squares) * 4 * n
-    rows_cols_ok = True
-    main_diags_ok = True
-    all_ok = True
-    stopped_early = False
+    rows_cols_ok = main_diags_ok = True
     failure_at: tuple[int, int] | None = None
 
-    for base in range(0, len(squares), _CHUNK):
-        chunk = squares[base : base + _CHUNK]
-        grids = np.stack([sq.materialize(values) for sq in chunk])
-        ok = _line_ok(grids, magic_sum)
+    for base in range(0, len(squares), step):
+        origin, row_step, col_step = table[base : base + step].T[:, :, None, None]
+        lines = values.ravel()[origin + rows * row_step + cols * col_step]
+        if magic_sum is None:
+            lines.sort(axis=2)
+            ok = (lines == np.arange(n)).all(axis=2)
+        else:
+            ok = lines.sum(axis=2) == magic_sum
         rows_cols_ok &= bool(ok[:, : 2 * n].all())
-        main_diags_ok &= bool(ok[:, 2 * n].all()) and bool(ok[:, 3 * n].all())
-        if not ok.all():
-            all_ok = False
-            if failure_at is None:
-                s_idx, l_idx = np.argwhere(~ok)[0]
-                failure_at = (base + int(s_idx), int(l_idx))
+        main_diags_ok &= bool(ok[:, [2 * n, 3 * n]].all())
+        if failure_at is None and not ok.all():
+            s_idx, l_idx = np.argwhere(~ok)[0]
+            failure_at = (base + int(s_idx), int(l_idx))
             if fail_fast:
                 lines_checked = failure_at[0] * 4 * n + failure_at[1] + 1
-                stopped_early = True
                 break
 
-    if all_ok:
-        prop: str | None = grades[2]
-    elif stopped_early:
-        prop = None
-    elif rows_cols_ok:
-        prop = grades[1] if main_diags_ok else grades[0]
+    if failure_at is None:
+        return VerificationReport(True, grades[2], lines_checked, magic_sum)
+    square = squares[failure_at[0]]
+    line = _line_at(square, failure_at[1])
+    found = [int(values[c]) for c in line.cells]
+    if magic_sum is None:
+        reason = f"repeated symbol in {line.kind} of {square.square_id}: {found}"
     else:
-        prop = None
-
-    first_failure = None
-    if failure_at is not None:
-        square = squares[failure_at[0]]
-        line = _line_at(square, failure_at[1])
-        cells_vals = [int(values[c]) for c in line.cells]
-        if magic_sum is None:
-            reason = f"repeated symbol in {line.kind} of {square.square_id}: {cells_vals}"
-        else:
-            reason = (
-                f"{line.kind} of {square.square_id} sums to {sum(cells_vals)},"
-                f" expected {magic_sum}"
-            )
-        first_failure = Failure(line, reason)
-
-    return VerificationReport(
-        passed=all_ok,
-        property=prop,
-        lines_checked=lines_checked,
-        magic_sum=magic_sum,
-        first_failure=first_failure,
-    )
-
-
-def _line_ok(grids: np.ndarray, magic_sum: int | None) -> np.ndarray:
-    """(squares, 4n) line outcomes in canonical within-square order."""
-    n = grids.shape[1]
-    coords = np.arange(n)
-    offsets = coords[:, None]
-    positions = coords[None, :]
-    # entry (offset o, position p) of the two diagonal families reads the
-    # square at row p, column (p +/- ...) wrapped mod n
-    dplus = grids[:, positions, (positions + offsets) % n]
-    dminus = grids[:, positions, (n - 1 - positions + offsets) % n]
-    blocks = (grids, grids.transpose(0, 2, 1), dplus, dminus)
-    oks = []
-    for block in blocks:
-        if magic_sum is None:
-            oks.append((np.sort(block, axis=2) == coords).all(axis=2))
-        else:
-            oks.append(block.sum(axis=2, dtype=np.int64) == magic_sum)
-    return np.concatenate(oks, axis=1)
+        reason = f"{line.kind} of {square.square_id} sums to {sum(found)}, expected {magic_sum}"
+    # a fail-fast scan stops before it can grade
+    grade = None if fail_fast or not rows_cols_ok else grades[1] if main_diags_ok else grades[0]
+    return VerificationReport(False, grade, lines_checked, magic_sum, Failure(line, reason))
 
 
 def _line_at(square: SquareView, index: int) -> Line:
-    n = square.order
-    kind = LINE_KINDS[index // n]
-    k = index % n
-    if kind == "row":
-        local = [(k, c) for c in range(n)]
-    elif kind == "column":
-        local = [(r, k) for r in range(n)]
-    elif kind == "diagonal-plus":
-        local = [(p, (p + k) % n) for p in range(n)]
-    else:
-        local = [(p, (n - 1 - p + k) % n) for p in range(n)]
-    cells = tuple(square.embed(r, c) for r, c in local)
-    return Line(cells, kind, square.square_id)
+    rows, cols = _line_table(square.order)
+    cells = tuple(map(square.embed, rows[index].tolist(), cols[index].tolist()))
+    return Line(cells, LINE_KINDS[index // square.order], square.square_id)
+
+
+@lru_cache(maxsize=None)
+def _line_table(n: int) -> np.ndarray:
+    """Local (rows, cols) of a square's 4n lines, shape (2, 4n, n).
+
+    Line k of each kind: row k, column k, and the wrapped diagonals
+    through (0, k) and (0, k-1 mod n).
+    """
+    k, p = np.ogrid[:n, :n]
+    rows = np.broadcast_arrays(k, p, p, p)
+    cols = np.broadcast_arrays(p, k, (p + k) % n, (n - 1 - p + k) % n)
+    table = np.stack([np.concatenate(rows), np.concatenate(cols)])
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _square_table(dimension: int, order: int) -> np.ndarray:
+    """Flat (origin, row_step, col_step) of every constituent square, shape (S, 3)."""
+    corners = [
+        sq.embed(r, c)
+        for sq in enumerate_squares(dimension, order)
+        for r, c in ((0, 0), (1, 0), (0, 1))
+    ]
+    table = np.ravel_multi_index(tuple(np.array(corners).T), (order,) * dimension).reshape(-1, 3)
+    table[:, 1:] -= table[:, :1]
+    table.flags.writeable = False
+    return table
+
+
+def _check_order(order: int) -> None:
+    if order < 2:
+        raise ValueError(f"order must be at least 2, got {order}")
 
 
 def _unbound(dimension: int) -> tuple[tuple, ...]:

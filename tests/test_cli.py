@@ -520,6 +520,11 @@ def test_slice_bad_spec_exit_2(capsys):
         code, _, err = run_cli(capsys, ["slice", "--spec", spec], stdin=doc)
         assert code == 2, spec
         assert err.startswith("error:")
+    # a tie whose target is bound: only slice_values can see it
+    _, doc, _ = run_cli(capsys, ["generate", "--order", "5", "--params", "1,2,3,4"])
+    code, _, err = run_cli(capsys, ["slice", "--spec", "i=j,j=2"], stdin=doc)
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_slice_square_document_rejected(capsys):

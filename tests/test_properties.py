@@ -1,22 +1,33 @@
-"""Property tests of the batched search and census against independent oracles.
+"""Property tests of the batched search, census and verifier against independent oracles.
 
 The oracles here share no code with pandiag.params: the line directions
 are written out from {0,+-1}^d / +-, feasibility is tested with math.gcd,
-and orthogonality by superposing arrays built with numpy.
+and orthogonality by superposing arrays built with numpy.  The reference
+verifier reads each constituent square through SquareView and writes out
+its rows, columns and diagonals itself, using no verify internals.
 """
 
 import math
 import tracemalloc
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pandiag.lattice import LatinArray
-from pandiag.magic import _MAX_FAMILY_COMBOS, count_orthogonal_families
+from pandiag.lattice import LatinArray, build, permute_symbols, shift_axis
+from pandiag.magic import _MAX_FAMILY_COMBOS, MagicArray, compose, count_orthogonal_families
 from pandiag.orthogonal import ParamMatrix, determinant, unit_determinant_masks, verify_orthogonal_brute
 from pandiag.params import ParamVector, enumerate_feasible, iter_feasible
+from pandiag.verify import (
+    Failure,
+    Line,
+    VerificationReport,
+    enumerate_squares,
+    verify_latin_pandiagonal,
+    verify_magic_pandiagonal,
+)
 
 SETTINGS = settings(max_examples=20, deadline=None, database=None)
 
@@ -138,3 +149,151 @@ def test_census_memory_at_cap():
         tracemalloc.stop()
     assert 0 < total <= k**d
     assert peak < CENSUS_MEMORY_BUDGET, f"census peak {peak / 2**20:.1f} MB"
+
+
+# reference verifier
+
+
+def reference_lines(n):
+    """(kind, local cells) of a square's 4n lines, written out kind by kind."""
+    lines = [("row", [(k, c) for c in range(n)]) for k in range(n)]
+    lines += [("column", [(r, k) for r in range(n)]) for k in range(n)]
+    lines += [("diagonal-plus", [(p, (p + k) % n) for p in range(n)]) for k in range(n)]
+    lines += [("diagonal-minus", [(p, (n - 1 - p + k) % n) for p in range(n)]) for k in range(n)]
+    return lines
+
+
+def reference_scan(values, magic_sum, grades, fail_fast):
+    """The verifier's report, one square and one line kind at a time."""
+    n, d = values.shape[0], values.ndim
+    lines = reference_lines(n)
+    rows = np.array([[r for r, _ in cells] for _, cells in lines])
+    cols = np.array([[c for _, c in cells] for _, cells in lines])
+    rows_cols_ok = main_diags_ok = True
+    checked, failure = 0, None
+    for square in enumerate_squares(d, n):
+        line_values = square.materialize(values)[rows, cols]
+        if magic_sum is None:
+            ok = (np.sort(line_values, axis=1) == np.arange(n)).all(axis=1)
+        else:
+            ok = line_values.sum(axis=1) == magic_sum
+        checked += 4 * n
+        if failure is None and not ok.all():
+            pos = int(np.flatnonzero(~ok)[0])
+            kind, local = lines[pos]
+            cells = tuple(square.embed(r, c) for r, c in local)
+            found = [int(values[cell]) for cell in cells]
+            if magic_sum is None:
+                reason = f"repeated symbol in {kind} of {square.square_id}: {found}"
+            else:
+                reason = f"{kind} of {square.square_id} sums to {sum(found)}, expected {magic_sum}"
+            failure = Failure(Line(cells, kind, square.square_id), reason)
+            if fail_fast:
+                return VerificationReport(False, None, checked - 4 * n + pos + 1, magic_sum, failure)
+        rows_cols_ok &= bool(ok[: 2 * n].all())
+        main_diags_ok &= bool(ok[2 * n] and ok[3 * n])
+    if failure is None:
+        grade = grades[2]
+    elif rows_cols_ok:
+        grade = grades[1] if main_diags_ok else grades[0]
+    else:
+        grade = None
+    return VerificationReport(failure is None, grade, checked, magic_sum, failure)
+
+
+def reference_magic(values, fail_fast):
+    n, d = values.shape[0], values.ndim
+    magic_sum = n * (n**d - 1) // 2
+    symbols, counts = np.unique(values, return_counts=True)
+    if counts.max() > 1:
+        first = int(np.argmax(counts > 1))
+        reason = f"repeat: value {symbols[first]} appears {counts[first]} times"
+        return VerificationReport(False, None, 0, magic_sum, Failure(None, reason))
+    return reference_scan(values, magic_sum, ("semi-magic", "magic", "pandiagonal-magic"), fail_fast)
+
+
+@lru_cache(maxsize=None)
+def orthogonal_family(d, n):
+    """The first canonical feasible family with a unit determinant, or None."""
+    for rows in combinations(enumerate_feasible(d, n, canonical_only=True), d):
+        if math.gcd(determinant(ParamMatrix(rows)) % n, n) == 1:
+            return rows
+    return None
+
+
+def sample_latin(d, n, variant, rng, seed):
+    feasible = enumerate_feasible(d, n, canonical_only=True)
+    if feasible and seed % 2 == 0:
+        v = feasible[int(rng.integers(len(feasible)))]
+    else:
+        v = ParamVector(tuple(int(a) for a in rng.integers(1, n, d)), n)
+    a = build(v)
+    if variant == "swapped":
+        return swap_cells(a.values, rng)
+    if variant == "relabelled":
+        return permute_symbols(a, rng.permutation(n)).values
+    if variant == "shifted":
+        return shift_axis(a, int(rng.integers(d)), int(rng.integers(1, n))).values
+    if variant == "random":
+        return rng.integers(0, n, (n,) * d)
+    return a.values
+
+
+def sample_magic(d, n, variant, rng, seed):
+    family = orthogonal_family(d, n)
+    if family is None or seed % 2:
+        family = [ParamVector(tuple(int(a) for a in rng.integers(1, n, d)), n) for _ in range(d)]
+    digits = [build(v) for v in family]
+    if variant == "relabelled":
+        digits = [permute_symbols(a, rng.permutation(n)) for a in digits]
+    m = compose(digits).values
+    if variant == "swapped":
+        return swap_cells(m, rng)
+    if variant == "shifted":
+        return np.roll(m, int(rng.integers(1, n)), axis=int(rng.integers(d)))
+    if variant == "random":
+        return rng.integers(0, n**d, (n,) * d)
+    return m
+
+
+def swap_cells(values, rng):
+    out = values.copy()
+    n, d = values.shape[0], values.ndim
+    x, y = (tuple(int(c) for c in rng.integers(0, n, d)) for _ in range(2))
+    out[x], out[y] = values[y], values[x]
+    return out
+
+
+VERIFY_POINTS = [(2, 5), (2, 7), (2, 8), (3, 7), (3, 11), (4, 5), (4, 17)]
+VARIANTS = ["built", "swapped", "relabelled", "shifted", "random"]
+
+
+@SETTINGS
+@given(
+    st.sampled_from(VERIFY_POINTS),
+    st.sampled_from(VARIANTS),
+    st.sampled_from(["latin", "magic"]),
+    st.integers(0, 2**32 - 1),
+)
+@example((4, 17), "built", "latin", 0)
+@example((4, 17), "swapped", "latin", 0)
+@example((3, 11), "built", "magic", 0)
+@example((4, 17), "shifted", "magic", 0)
+@example((3, 11), "swapped", "magic", 0)
+# rows, columns and diagonal-plus pass, the diagonal-minus main diagonal fails
+@example((2, 7), "built", "latin", 5)
+@example((2, 7), "built", "magic", 3)
+def test_verifier_equals_reference_scan(point, variant, kind, seed):
+    d, n = point
+    rng = np.random.default_rng(seed)
+    sample = sample_latin if kind == "latin" else sample_magic
+    values = sample(d, n, variant, rng, seed)
+    for fail_fast in (False, True):
+        if kind == "latin":
+            got = verify_latin_pandiagonal(LatinArray(values), fail_fast=fail_fast)
+            grades = ("latin", "diagonal-latin", "pandiagonal-latin")
+            expected = reference_scan(values, None, grades, fail_fast)
+        else:
+            got = verify_magic_pandiagonal(MagicArray(values), fail_fast=fail_fast)
+            expected = reference_magic(values, fail_fast)
+        assert got == expected

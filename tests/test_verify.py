@@ -33,6 +33,15 @@ def test_square_counts():
     assert len(enumerate_cubes(5)) == 32
 
 
+@pytest.mark.parametrize(
+    "enumerate_, args",
+    [(enumerate_squares, (3, 0)), (enumerate_squares, (2, 1)), (enumerate_cubes, (-2,))],
+)
+def test_enumerators_reject_orders_below_2(enumerate_, args):
+    with pytest.raises(ValueError, match="order must be at least 2"):
+        enumerate_(*args)
+
+
 def test_square_ids_are_unique():
     for d, n in ((2, 5), (3, 7), (4, 5)):
         squares = enumerate_squares(d, n)
