@@ -164,6 +164,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        if getattr(args, "one_based", False) and args.format == "json":
+            raise InputError("--one-based applies to grid and csv output only")
         return args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -398,8 +400,6 @@ def _cmd_slice(args: argparse.Namespace) -> int:
 
 def _emit(doc: ArrayDocument, fmt: str, one_based: bool, output: str | None) -> None:
     if fmt == "json":
-        if one_based:
-            raise InputError("--one-based applies to grid and csv output only")
         text = document_to_json(doc)
     else:
         sep = " " if fmt == "grid" else ","

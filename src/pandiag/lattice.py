@@ -5,11 +5,10 @@ means axis 0 indexes rows top to bottom and axis 1 indexes columns left to
 right.  Values live in [0, n-1] as int64.
 
 Every 2-D view, a SliceSpec as well as a constituent square of the
-verifier, is read through one binding form: a tuple with one entry per
-axis of the array, either ("const", v), which pins the coordinate to v,
-or (local_axis, flip), which follows the view's row (0) or column (1)
-index, reversed to n-1-x when flip is set.  cell_index turns bindings
-into array indices and gather reads the view's n x n grid with them.
+verifier, is a plane through the grid that never wraps, so it is one flat
+affine map: its cell (r, c) is the cell origin + r*row_step + c*col_step
+of the grid in C order, where axis x has stride n**(d-1-x).  gather reads
+the view's n x n grid through that map.
 """
 
 from __future__ import annotations
@@ -139,43 +138,32 @@ def slice_values(values: np.ndarray, spec: SliceSpec) -> np.ndarray:
         raise ValueError(
             f"spec must bind every axis of a {d}-D array exactly once"
         )
-    axes: list[tuple] = [()] * d
-    axes[spec.row_axis] = (0, False)
-    axes[spec.col_axis] = (1, False)
+    strides = [n ** (d - 1 - x) for x in range(d)]
+    origin, steps = 0, [strides[spec.row_axis], strides[spec.col_axis]]
     for axis, binding in spec.fixed.items():
         if isinstance(binding, Tie):
             if binding.axis not in free:
+                got = AXIS_NAMES[binding.axis] if 0 <= binding.axis < d else binding.axis
                 raise ValueError(
-                    f"tie on axis {axis} must reference a free axis, got {binding.axis}"
+                    f"tie on axis {AXIS_NAMES[axis]} must reference a free axis, got {got}"
                 )
-            axes[axis] = (free.index(binding.axis), binding.anti)
+            local = free.index(binding.axis)
+            if binding.anti:  # x_axis = n-1 - x_free
+                origin += (n - 1) * strides[axis]
+                steps[local] -= strides[axis]
+            else:
+                steps[local] += strides[axis]
         else:
             if not 0 <= int(binding) < n:
                 raise ValueError(f"fixed coordinate {binding} outside [0, {n - 1}]")
-            axes[axis] = ("const", int(binding))
-    return gather(values, axes)
+            origin += int(binding) * strides[axis]
+    return gather(values, origin, *steps)
 
 
-def gather(values: np.ndarray, axes: Sequence[tuple]) -> np.ndarray:
-    """The n x n grid of a 2-D view given by one binding per axis of values."""
-    n = values.shape[0]
-    return values[cell_index(axes, _local_coords(n), n)]
-
-
-def cell_index(axes: Sequence[tuple], local: Sequence, order: int) -> tuple:
-    """Index into the full array of the view's local coordinates.
-
-    local holds the row and column coordinates, as integers for one cell
-    or as broadcastable index arrays for many.
-    """
-    index = []
-    for src, arg in axes:
-        if src == "const":
-            index.append(arg)
-        else:
-            x = local[src]
-            index.append((order - 1) - x if arg else x)
-    return tuple(index)
+def gather(values: np.ndarray, origin: int, row_step: int, col_step: int) -> np.ndarray:
+    """The n x n grid of the flat affine view origin + r*row_step + c*col_step of values."""
+    rows, cols = _local_coords(values.shape[0])
+    return values.ravel()[origin + rows * row_step + cols * col_step]
 
 
 @lru_cache(maxsize=None)

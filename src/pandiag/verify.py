@@ -11,14 +11,18 @@ wrapped diagonals in each of the two orientations (offset 0 being the two
 main diagonals).
 
 The verifier reads only the value grid, never construction provenance.
-Bindings never wrap, so each square is a flat affine map: its cell (r, c)
-is the flat cell origin + r*row_step + c*col_step of the array.  One line
-table holds the local cells of a square's lines (rows, columns,
-diagonal-plus, diagonal-minus); the scan, the failure report and
-enumerate_lines all read it.  The scan gathers the lines of a chunk of
-squares, sized in cells, with one fancy index and tests each line with
-one sort (latin) or one sum (magic).  Squares are scanned in a fixed
-documented order, so the first reported failure is deterministic.
+A box is a flat affine map of its local coordinates into the C-ordered
+grid, origin plus one step per local axis, starting from the whole array
+with steps n**(d-1-x).  Fixing axis a to v moves the origin by v*steps[a];
+tying a<b equal adds their steps, tying them anti subtracts steps[b] and
+moves the origin by (n-1)*steps[b].  No face wraps, so each square is
+exactly the map origin + r*row_step + c*col_step.  One line table holds
+the local cells of a square's lines (rows, columns, diagonal-plus,
+diagonal-minus); the scan, the failure report and enumerate_lines all
+read it.  The scan gathers the lines of a chunk of squares, sized in
+cells, with one fancy index and tests each line with one sort (latin) or
+one sum (magic).  Squares are scanned in a fixed documented order, so the
+first reported failure is deterministic.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .lattice import AXIS_NAMES, LatinArray, cell_index, gather
+from .lattice import AXIS_NAMES, LatinArray, gather
 from .magic import MagicArray, sigma
 from .params import DIMENSIONS
 
@@ -43,26 +47,29 @@ _CHUNK_CELLS = 1 << 16
 
 @dataclass(frozen=True)
 class SquareView:
-    """One constituent square of a larger array.
+    """One constituent square of a larger array, as a flat affine map.
 
-    axes holds one binding per global axis in the lattice binding form:
-    ("const", v) pins a coordinate, (0, flip) / (1, flip) map the square's
-    own row or column index onto the axis, reversed when flip is set.
-    Anti ties (coordinates summing to n-1) are exactly the flipped
-    bindings.
+    The square's local cell (r, c) is the cell origin + r*row_step +
+    c*col_step of the array's C-ordered flat grid, whose shape is
+    (order,) * dimension.  An anti tie (coordinates summing to n-1) shows
+    as a step that subtracts a stride.
     """
 
     order: int
     square_id: str
-    axes: tuple[tuple, ...]
+    dimension: int
+    origin: int
+    row_step: int
+    col_step: int
 
     def materialize(self, values: np.ndarray) -> np.ndarray:
         """Gather the square's n x n grid out of the full array."""
-        return gather(values, self.axes)
+        return gather(values, self.origin, self.row_step, self.col_step)
 
     def embed(self, r: int, c: int) -> tuple[int, ...]:
         """Global coordinates of the square's local cell (r, c)."""
-        return cell_index(self.axes, (r, c), self.order)
+        flat = self.origin + r * self.row_step + c * self.col_step
+        return tuple(map(int, np.unravel_index(flat, (self.order,) * self.dimension)))
 
 
 @dataclass(frozen=True)
@@ -103,27 +110,30 @@ def enumerate_squares(dimension: int, order: int) -> tuple[SquareView, ...]:
     if dimension not in DIMENSIONS:
         raise ValueError(f"dimension must be 2, 3 or 4, got {dimension}")
     _check_order(order)
-    n = order
-    # (labels, local axis names, bindings of the global axes) of each box
-    boxes = iter([((), AXIS_NAMES[:dimension], _unbound(dimension))])
+    # (labels, local axis names, origin, steps) of each box
+    boxes = iter([((), *_whole_box(dimension, order))])
     for _ in range(dimension - 2):
         boxes = (
-            (labels + (label,), sub_names, sub_axes)
-            for labels, names, axes in boxes
-            for label, sub_names, sub_axes in _faces(n, names, axes)
+            (labels + (label,), *face)
+            for labels, *box in boxes
+            for label, *face in _faces(order, *box)
         )
     return tuple(
-        SquareView(n, "".join(f"cube({x})/" for x in labels[:-1]) + labels[-1], axes)
-        if labels
-        else SquareView(n, "square", axes)
-        for labels, _, axes in boxes
+        SquareView(
+            order,
+            "".join(f"cube({x})/" for x in labels[:-1]) + labels[-1] if labels else "square",
+            dimension,
+            origin,
+            *steps,
+        )
+        for labels, _, origin, steps in boxes
     )
 
 
 def enumerate_cubes(order: int) -> list[str]:
     """Ids of the 4n+12 constituent cubes of a 4-D array."""
     _check_order(order)
-    return [label for label, _, _ in _faces(order, AXIS_NAMES, _unbound(4))]
+    return [label for label, *_ in _faces(order, *_whole_box(4, order))]
 
 
 def enumerate_lines(square: SquareView) -> list[Line]:
@@ -245,13 +255,10 @@ def _line_table(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _square_table(dimension: int, order: int) -> np.ndarray:
     """Flat (origin, row_step, col_step) of every constituent square, shape (S, 3)."""
-    corners = [
-        sq.embed(r, c)
-        for sq in enumerate_squares(dimension, order)
-        for r, c in ((0, 0), (1, 0), (0, 1))
-    ]
-    table = np.ravel_multi_index(tuple(np.array(corners).T), (order,) * dimension).reshape(-1, 3)
-    table[:, 1:] -= table[:, :1]
+    table = np.array(
+        [(sq.origin, sq.row_step, sq.col_step) for sq in enumerate_squares(dimension, order)],
+        dtype=np.int64,
+    )
     table.flags.writeable = False
     return table
 
@@ -261,48 +268,32 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be at least 2, got {order}")
 
 
-def _unbound(dimension: int) -> tuple[tuple, ...]:
-    """Bindings of the whole array as a box: global axis x is local axis x."""
-    return tuple((x, False) for x in range(dimension))
+def _whole_box(dimension: int, n: int) -> tuple[tuple[str, ...], int, tuple[int, ...]]:
+    """The whole array as a box: local axis x is global axis x, with C-order stride n**(d-1-x)."""
+    strides = tuple(n ** (dimension - 1 - x) for x in range(dimension))
+    return tuple(AXIS_NAMES[:dimension]), 0, strides
 
 
 def _faces(
-    n: int, names: Sequence[str], axes: tuple[tuple, ...]
-) -> Iterator[tuple[str, tuple[str, ...], tuple[tuple, ...]]]:
-    """The (k-1)-boxes of a k-box as (label, local axis names, global bindings).
+    n: int, names: tuple[str, ...], origin: int, steps: tuple[int, ...]
+) -> Iterator[tuple[str, tuple[str, ...], int, tuple[int, ...]]]:
+    """The (k-1)-boxes of a k-box as (label, local axis names, origin, steps).
 
-    names labels the box's k local axes and axes binds every global axis
-    to a constant or to one of them.  A face fixes local axis a to v, or
-    ties local axes a<b equal or anti; the tied pair becomes the face's
-    first local axis and the remaining axes follow in order.
+    names labels the box's k local axes and steps holds their flat steps.
+    A face fixes local axis a to v, or ties local axes a<b equal or anti;
+    the tied pair becomes the face's first local axis and the remaining
+    axes follow in order.
     """
     k = len(names)
-
-    def bind(face: dict[int, tuple]) -> tuple[tuple, ...]:
-        # face maps each local axis of the box to ("const", v) or (face axis, flip)
-        out = []
-        for binding in axes:
-            src, arg = binding
-            if src != "const":
-                binding = face[src]
-                if arg:  # the box runs this axis reversed
-                    src, x = binding
-                    binding = ("const", (n - 1) - x) if src == "const" else (src, not x)
-            out.append(binding)
-        return tuple(out)
-
     for a in range(k):
-        rest = [x for x in range(k) if x != a]
-        sub_names = tuple(names[x] for x in rest)
-        face = {x: (i, False) for i, x in enumerate(rest)}
+        sub_names, sub_steps = names[:a] + names[a + 1 :], steps[:a] + steps[a + 1 :]
         for v in range(n):
-            face[a] = ("const", v)
-            yield f"{names[a]}={v}", sub_names, bind(face)
+            yield f"{names[a]}={v}", sub_names, origin + v * steps[a], sub_steps
     for a, b in combinations(range(k), 2):
         rest = [x for x in range(k) if x not in (a, b)]
         sub_names = (names[a] + names[b], *(names[x] for x in rest))
-        face = {a: (0, False), **{x: (i, False) for i, x in enumerate(rest, 1)}}
-        for anti in (False, True):
-            face[b] = (0, anti)
-            label = f"{names[a]}+{names[b]}={n - 1}" if anti else f"{names[a]}={names[b]}"
-            yield label, sub_names, bind(face)
+        rest_steps = tuple(steps[x] for x in rest)
+        yield f"{names[a]}={names[b]}", sub_names, origin, (steps[a] + steps[b], *rest_steps)
+        # anti: x_b = n-1 - x_a
+        anti_origin, anti_step = origin + (n - 1) * steps[b], steps[a] - steps[b]
+        yield f"{names[a]}+{names[b]}={n - 1}", sub_names, anti_origin, (anti_step, *rest_steps)

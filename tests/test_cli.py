@@ -119,6 +119,15 @@ def test_one_based_json_rejected(capsys):
     )
     assert code == 2
     assert "one-based" in err
+    # rejected before the check or the composition runs, which would exit 1
+    for argv in (
+        ["generate", "--order", "11", "--params", "1,2,3", "--check", "--one-based"],
+        ["magic", "--order", "5", "--params-list", "1,2;1,2", "--one-based"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2, argv
+        assert err.startswith("error:")
+        assert out == ""
 
 
 def test_generate_output_file(capsys, tmp_path):
@@ -525,6 +534,7 @@ def test_slice_bad_spec_exit_2(capsys):
     code, _, err = run_cli(capsys, ["slice", "--spec", "i=j,j=2"], stdin=doc)
     assert code == 2
     assert err.startswith("error:")
+    assert "tie on axis i must reference a free axis, got j" in err
 
 
 def test_slice_square_document_rejected(capsys):

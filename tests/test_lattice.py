@@ -115,7 +115,11 @@ def test_slice_validation_errors():
 
 @st.composite
 def slice_cases(draw):
-    """A value grid with distinct cells and any valid SliceSpec of it, d=3 or d=4."""
+    """A value grid with distinct cells and any valid SliceSpec of it, d=3 or d=4.
+
+    The grid is sometimes a transposed or reversed view, which is not
+    C-contiguous, so the slice must follow its indices, not its memory.
+    """
     d = draw(st.sampled_from((3, 4)))
     n = draw(st.integers(2, 6))
     row, col, *bound = draw(st.permutations(range(d)))
@@ -124,7 +128,9 @@ def slice_cases(draw):
         st.builds(Tie, st.sampled_from((row, col)), st.booleans()),
     )
     fixed = {axis: draw(binding) for axis in bound}
-    return np.arange(n**d).reshape((n,) * d), SliceSpec(row, col, fixed)
+    grid = np.arange(n**d).reshape((n,) * d)
+    views = (grid, grid.T, grid[::-1, ..., ::-1])
+    return views[draw(st.integers(0, 2))], SliceSpec(row, col, fixed)
 
 
 @settings(max_examples=60, deadline=None, database=None)

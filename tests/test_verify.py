@@ -185,6 +185,7 @@ def test_line_identities_on_diagonal_squares():
         grid = sq.materialize(values)
         for pos, line in enumerate(enumerate_lines(sq)):
             assert len(set(line.cells)) == n
+            assert {type(x) for cell in line.cells for x in cell} == {int}
             family, k = pos // n, pos % n
             if family == 0:
                 local = [(k, c) for c in range(n)]
