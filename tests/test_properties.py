@@ -20,6 +20,7 @@ from pandiag.lattice import LatinArray, build, permute_symbols, shift_axis
 from pandiag.magic import _MAX_FAMILY_COMBOS, MagicArray, compose, count_orthogonal_families
 from pandiag.orthogonal import ParamMatrix, determinant, unit_determinant_masks, verify_orthogonal_brute
 from pandiag.params import ParamVector, enumerate_feasible, iter_feasible
+from pandiag import verify
 from pandiag.verify import (
     Failure,
     Line,
@@ -33,6 +34,13 @@ SETTINGS = settings(max_examples=20, deadline=None, database=None)
 
 # the census at the family cap stays within this much transient memory
 CENSUS_MEMORY_BUDGET = 16 * 2**20
+# verifying a d=3 n=101 array: the first call builds and keeps the line
+# cover, a later call holds only its chunk of gathered cells
+VERIFY_FIRST_MEMORY_BUDGET = 12 * 2**20
+VERIFY_REPEAT_MEMORY_BUDGET = 2 * 2**20
+# the d=4 n=41 line cover: what the cache keeps, and its build's peak
+COVER_HELD_BUDGET = 4 * 2**20
+COVER_BUILD_BUDGET = 16 * 2**20
 
 
 def directions(d):
@@ -264,7 +272,7 @@ def swap_cells(values, rng):
     return out
 
 
-VERIFY_POINTS = [(2, 5), (2, 7), (2, 8), (3, 7), (3, 11), (4, 5), (4, 17)]
+VERIFY_POINTS = [(2, 5), (2, 7), (2, 8), (3, 4), (3, 7), (3, 11), (4, 3), (4, 5), (4, 17)]
 VARIANTS = ["built", "swapped", "relabelled", "shifted", "random"]
 
 
@@ -283,6 +291,10 @@ VARIANTS = ["built", "swapped", "relabelled", "shifted", "random"]
 # rows, columns and diagonal-plus pass, the diagonal-minus main diagonal fails
 @example((2, 7), "built", "latin", 5)
 @example((2, 7), "built", "magic", 3)
+# orders where -1 = n-1 is a small step, or where +1 and -1 coincide mod 2
+@example((3, 3), "swapped", "latin", 1)
+@example((2, 2), "built", "latin", 0)
+@example((4, 2), "shifted", "latin", 0)
 def test_verifier_equals_reference_scan(point, variant, kind, seed):
     d, n = point
     rng = np.random.default_rng(seed)
@@ -300,3 +312,68 @@ def test_verifier_equals_reference_scan(point, variant, kind, seed):
         # == would also hold for numpy integers, which the report must not carry
         if got.first_failure is not None and got.first_failure.line is not None:
             assert {type(x) for cell in got.first_failure.line.cells for x in cell} == {int}
+
+
+def test_verifier_equals_reference_scan_across_chunks(monkeypatch):
+    """One square per cover-build chunk and one family per scan chunk."""
+    monkeypatch.setattr(verify, "_CHUNK_CELLS", 1)
+    clear_verify_caches()
+    try:
+        # pair_sum(0,1) = 0 mod 7: main diagonals fail in squares k=v, several
+        # chunks before the first failing row, in square i=j
+        cases = [("latin", build(ParamVector((1, 6, 3), 7)).values)]
+        for d, n in ((2, 5), (3, 5), (3, 7), (4, 5)):
+            for seed in range(2):
+                rng = np.random.default_rng(seed)
+                for variant in VARIANTS:
+                    cases.append(("latin", sample_latin(d, n, variant, rng, seed)))
+                    cases.append(("magic", sample_magic(d, n, variant, rng, seed)))
+        for kind, values in cases:
+            for fail_fast in (False, True):
+                if kind == "latin":
+                    got = verify_latin_pandiagonal(LatinArray(values), fail_fast=fail_fast)
+                    grades = ("latin", "diagonal-latin", "pandiagonal-latin")
+                    assert got == reference_scan(values, None, grades, fail_fast)
+                else:
+                    got = verify_magic_pandiagonal(MagicArray(values), fail_fast=fail_fast)
+                    assert got == reference_magic(values, fail_fast)
+    finally:
+        clear_verify_caches()
+
+
+def clear_verify_caches():
+    caches = (enumerate_squares, verify._line_cover, verify._line_table, verify._direction_index)
+    for cache in caches:
+        cache.cache_clear()
+
+
+def traced_peak(call):
+    """Peak of the memory call allocates, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_memory_at_3_101():
+    a = build(enumerate_feasible(3, 101, canonical_only=True)[0])
+    clear_verify_caches()
+    first = traced_peak(lambda: verify_latin_pandiagonal(a))
+    assert first < VERIFY_FIRST_MEMORY_BUDGET, f"first verify peak {first / 2**20:.1f} MB"
+    again = traced_peak(lambda: verify_latin_pandiagonal(a))
+    assert again < VERIFY_REPEAT_MEMORY_BUDGET, f"repeat verify peak {again / 2**20:.1f} MB"
+
+
+def test_line_cover_memory_at_4_41():
+    clear_verify_caches()
+    tracemalloc.start()
+    try:
+        cover = verify._line_cover(4, 41)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cover.kinds) * 41 == 1185720
+    assert held < COVER_HELD_BUDGET, f"cover holds {held / 2**20:.1f} MB"
+    assert peak < COVER_BUILD_BUDGET, f"cover build peak {peak / 2**20:.1f} MB"

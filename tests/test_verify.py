@@ -17,6 +17,7 @@ from pandiag.magic import MagicArray
 from pandiag.params import ParamVector
 from pandiag.verify import (
     Line,
+    _line_cover,
     enumerate_cubes,
     enumerate_lines,
     enumerate_squares,
@@ -325,3 +326,56 @@ def test_slice_spec_and_square_view_agree():
     values = np.arange(n**4).reshape((n,) * 4)
     for spec, square_id in cases:
         assert np.array_equal(slice_values(values, spec), squares[square_id].materialize(values))
+
+
+# The line cover against an oracle that reads lines only through SquareView
+# and enumerate_lines.
+
+
+@pytest.mark.parametrize(
+    "d, n", [(2, 5), (3, 2), (3, 3), (3, 4), (3, 7), (4, 3), (4, 5), (4, 7)]
+)
+def test_line_cover_is_exact(d, n):
+    squares = enumerate_squares(d, n)
+    lines = [enumerate_lines(sq) for sq in squares]
+    seen, row_col, main_diag, families = set(), set(), set(), []
+    for s, square_lines in enumerate(lines):
+        for pos, line in enumerate(square_lines):
+            cells = frozenset(line.cells)
+            if pos < 2 * n:
+                row_col.add(cells)
+            if pos in (2 * n, 3 * n):
+                main_diag.add(cells)
+            if cells not in seen:
+                seen.add(cells)
+                if not families or families[-1] != (s, pos // n):
+                    families.append((s, pos // n))
+    cover = _line_cover(d, n)
+    # the families holding a first occurrence, in canonical order
+    assert list(zip(cover.squares.tolist(), cover.kinds.tolist())) == families
+    covered = set()
+    for f, (s, kind) in enumerate(families):
+        for k, line in enumerate(lines[s][kind * n : (kind + 1) * n]):
+            cells = frozenset(line.cells)
+            covered.add(cells)
+            assert cover.row_col[f, k] == (cells in row_col), (s, kind, k)
+            assert cover.main_diag[f, k] == (cells in main_diag), (s, kind, k)
+    assert covered == seen
+
+
+def distinct_lines(d, n):
+    """Number of distinct cell sets among the lines of every square."""
+    # the lines of the one d=2 square, read as local (row, col) cells
+    local = np.array([line.cells for line in enumerate_lines(enumerate_squares(2, n)[0])])
+    cells = np.arange(n**d, dtype=np.int32).reshape((n,) * d)
+    every = np.concatenate(
+        [sq.materialize(cells)[local[..., 0], local[..., 1]] for sq in enumerate_squares(d, n)]
+    )
+    every.sort(axis=1)
+    return len(np.unique(every, axis=0))
+
+
+@pytest.mark.parametrize("d, n, distinct, tested", [(3, 11, 1213, 1221), (4, 17, 92840, 93432)])
+def test_line_cover_counts(d, n, distinct, tested):
+    assert distinct_lines(d, n) == distinct
+    assert len(_line_cover(d, n).kinds) * n == tested
