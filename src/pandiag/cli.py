@@ -6,6 +6,19 @@ optional generating params.  Serialization is deterministic: sorted keys,
 compact separators, one trailing newline, so identical arrays produce
 identical bytes.
 
+Cells are written and read without per-cell Python.  json.dumps writes
+the header with an empty values list and one encoder, shared with the
+grid and csv renderers, splices in the digits of every cell, so the bytes
+are those of json.dumps of the int list or of a string join.  The reader
+parses a values list of plain digits and commas (no empty token, no
+leading zero, at most 18 digits per token, in an ASCII text with no
+backslash) with numpy and hands json.loads the rest with a placeholder string
+in its place; any other text, or a values key that does not end up
+holding the placeholder, goes to json.loads whole, with the same result.
+
+Generate, magic and orthogonal --brute refuse, --force or not, a run
+whose estimated arrays and text pass MEMORY_BUDGET, before building.
+
 Exit codes: 0 success or property verified, 1 well-formed input with a
 negative answer (failed verification, infeasible or non-orthogonal
 family, empty search), 2 usage errors or malformed input.
@@ -41,6 +54,15 @@ from .verify import verify_latin_pandiagonal, verify_magic_pandiagonal
 # d=4 arrays grow as n**4; past 41 the CLI wants explicit --force
 DEFAULT_ORDER_CAPS = {2: 101, 3: 101, 4: 41}
 
+# bytes of int64 arrays and output text that generate, magic and orthogonal --brute may plan to hold
+MEMORY_BUDGET = 1 << 30
+
+# values below this are written through a digit table looked up per cell
+_TABLE_LIMIT = 1 << 16
+
+# stands in for a plain values list while json.loads reads the header
+_PLACEHOLDER = "<values>"
+
 KINDS = ("latin", "magic")
 
 
@@ -66,7 +88,10 @@ class ArrayDocument:
             raise InputError(f"order {self.order} outside [2, {MAX_ORDER}]")
         if self.kind not in KINDS:
             raise InputError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        vals = np.asarray(self.values)
+        try:
+            vals = np.asarray(self.values, dtype=np.int64)
+        except OverflowError:
+            raise InputError("values must fit in 64-bit integers") from None
         expected = (self.order,) * self.dimension
         if vals.shape != expected:
             if vals.size == self.order**self.dimension and vals.ndim == 1:
@@ -90,21 +115,25 @@ def document_to_json(doc: ArrayDocument) -> str:
         "dimension": doc.dimension,
         "order": doc.order,
         "kind": doc.kind,
-        "values": [int(x) for x in doc.values.ravel()],
+        "values": [],
     }
     if doc.params is not None:
         if doc.kind == "latin":
             payload["params"] = list(doc.params[0])
         else:
             payload["params"] = [list(vec) for vec in doc.params]
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    head = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    before, _, after = head.partition('"values":[]')
+    return f'{before}"values":[{_encode(doc.values.ravel(), ",")}]{after}\n'
 
 
 def document_from_json(text: str) -> ArrayDocument:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from None
+    raw = _plain_document(text)
+    if raw is None:
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InputError("document must be a JSON object")
     for key in ("dimension", "order", "values"):
@@ -114,7 +143,9 @@ def document_from_json(text: str) -> ArrayDocument:
     if not _all_ints([dimension, order]):
         raise InputError("dimension and order must be integers")
     values = raw["values"]
-    if not isinstance(values, list) or not _all_ints(values):
+    if not isinstance(values, np.ndarray) and (
+        not isinstance(values, list) or not _all_ints(values)
+    ):
         raise InputError("values must be a list of integers")
     kind = raw.get("kind", "latin")
     params = raw.get("params")
@@ -128,7 +159,55 @@ def document_from_json(text: str) -> ArrayDocument:
             norm = tuple(tuple(vec) for vec in params)
         else:
             raise InputError("params must be a vector or a list of vectors")
-    return ArrayDocument(dimension, order, np.array(values), kind, norm)
+    return ArrayDocument(dimension, order, values, kind, norm)
+
+
+def _plain_document(text: str) -> dict | None:
+    """The decoded document with its values already an int64 array, or None.
+
+    None unless the text is ASCII with no backslash (so no string can hide
+    a quote or spell the placeholder another way), its first '"values":['
+    list is plain, and the top-level values key of the decoded text holds
+    the placeholder that replaced that list.
+    """
+    key = text.find('"values":[')
+    if key < 0 or not text.isascii() or "\\" in text or f'"{_PLACEHOLDER}"' in text:
+        return None
+    lo = key + len('"values":[')
+    hi = text.find("]", lo)
+    values = _plain_ints(text[lo:hi].encode("ascii")) if hi >= 0 else None
+    if values is None:
+        return None
+    try:
+        raw = json.loads(f'{text[: lo - 1]}"{_PLACEHOLDER}"{text[hi + 1 :]}')
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(raw, dict) or raw.get("values") != _PLACEHOLDER:
+        return None
+    raw["values"] = values
+    return raw
+
+
+def _plain_ints(span: bytes) -> np.ndarray | None:
+    """span parsed as int64 when it is plain JSON integers joined by commas, else None.
+
+    Plain means digits and commas only, no empty token, no leading zero
+    and at most 18 digits per token, so every token fits in an int64.
+    """
+    b = np.frombuffer(span, dtype=np.uint8)
+    cut = np.ones(b.size + 2, dtype=bool)  # commas, with one more at each end
+    np.equal(b, ord(","), out=cut[1:-1])
+    if (cut[1:] & cut[:-1]).any() or not ((b - ord("0") < 10) | cut[1:-1]).all():
+        return None
+    if (cut[:-2] & (b == ord("0")) & ~cut[2:]).any():
+        return None
+    run = ~cut  # run[i]: a digit run of the current length starts at i
+    for step in (1, 2, 4, 8, 3):  # run lengths 2, 4, 8, 16, 19
+        run = run[:-step] & run[step:]
+    if run.any():
+        return None
+    values = np.fromstring(span, dtype=np.int64, sep=",")
+    return values if values.size == np.count_nonzero(cut) - 1 else None
 
 
 def _all_ints(items: list) -> bool:
@@ -146,14 +225,45 @@ def render_blocks(values: np.ndarray, sep: str, offset: int = 0) -> str:
     Blocks run over the leading coordinates in ascending row-major order;
     each block prints the final two axes as rows of cells.
     """
-    n = values.shape[0]
-    lines: list[str] = []
-    for idx, block in enumerate(values.reshape(-1, n, n)):
-        if idx:
-            lines.append("")
-        for row in block:
-            lines.append(sep.join(str(int(x) + offset) for x in row))
-    return "\n".join(lines) + "\n"
+    return _encode(values.ravel(), sep, values.shape[0], offset)
+
+
+def _encode(flat: np.ndarray, sep: str, row: int = 0, offset: int = 0) -> str:
+    """Decimal text of flat + offset (non-negative int64), each value followed by its terminator.
+
+    row=0 joins the values by sep (a JSON list body); row=n lays them out
+    as render_blocks does.  Each value fills one fixed-width byte row:
+    digits right-aligned behind NUL padding, then its terminators, so one
+    bytes.replace of NUL finishes the text.
+    """
+    top = int(flat.max()) + offset
+    width = len(str(top))
+    buf = np.zeros((flat.size, width + (2 if row else 1)), dtype=np.uint8)
+    if top < _TABLE_LIMIT:
+        table = np.empty((top + 1 - offset, width), dtype=np.uint8)
+        _write_digits(np.arange(offset, top + 1), table)
+        buf[:, :width] = table[flat]
+    else:
+        _write_digits(flat + offset, buf[:, :width])
+    buf[:, width] = ord(sep)
+    if row:
+        buf[row - 1 :: row, width] = ord("\n")
+        buf[row * row - 1 : -1 : row * row, width + 1] = ord("\n")
+    else:
+        buf[-1, width] = 0
+    text = buf.tobytes()
+    del buf
+    return text.replace(b"\0", b"").decode("ascii")
+
+
+def _write_digits(v: np.ndarray, out: np.ndarray) -> None:
+    """Write each int64 of v in decimal into its row of out, right-aligned behind NULs; v is consumed."""
+    last = out.shape[1] - 1
+    for col in range(last, -1, -1):
+        digit = out[:, col]
+        np.remainder(v, 10, out=digit, casting="unsafe")
+        np.add(digit, ord("0"), out=digit, where=True if col == last else v > 0)
+        np.floor_divide(v, 10, out=v)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -259,6 +369,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.dim is not None and args.dim != len(alphas):
         raise InputError(f"--dim {args.dim} contradicts {len(alphas)} coefficients")
     _check_order_cap(len(alphas), args.order, args.force)
+    # the built grid and the document's copy of it
+    _check_memory(len(alphas), args.order, 2, args.order)
     v = _wrap_input(lambda: ParamVector(alphas, args.order))
     array = _wrap_input(lambda: build(v))
     if args.check:
@@ -329,12 +441,15 @@ def _cmd_orthogonal(args: argparse.Namespace) -> int:
     vectors = _parse_family(args.params_list, args.order)
     matrix = _wrap_input(lambda: ParamMatrix(vectors))
     _check_order_cap(matrix.dimension, args.order, args.force)
-    det, residue = determinant_mod(matrix)
-    print(f"det={det}")
-    print(f"det_mod={int(residue)}")
     # with no explicit selection both checks run
     run_fast = args.fast or not args.brute
     run_brute = args.brute or not args.fast
+    if run_brute:
+        # d built arrays, their superposed codes and one temporary
+        _check_memory(matrix.dimension, args.order, matrix.dimension + 2)
+    det, residue = determinant_mod(matrix)
+    print(f"det={det}")
+    print(f"det_mod={int(residue)}")
     verdicts = []
     if run_fast:
         try:
@@ -357,6 +472,8 @@ def _cmd_magic(args: argparse.Namespace) -> int:
     matrix = _wrap_input(lambda: ParamMatrix(vectors))
     dimension = matrix.dimension
     _check_order_cap(dimension, args.order, args.force)
+    # d digit arrays, the superposition and its temporary, the composed grid and the document's copy
+    _check_memory(dimension, args.order, dimension + 3, args.order**dimension)
     perms = _parse_perms(args.perms, dimension, args.order) if args.perms else None
     try:
         composed = compose_checked(matrix.rows, perms)
@@ -531,6 +648,21 @@ def _check_order_cap(
         )
     if order > hard_cap:
         raise InputError(f"order {order} above hard cap {hard_cap}")
+
+
+def _check_memory(dimension: int, order: int, arrays: int, top: int = 0) -> None:
+    """Refuse a run whose int64 arrays and text, for values up to top, would pass MEMORY_BUDGET.
+
+    The text costs a byte per digit and two per terminator, twice: the
+    encoder's buffer and the string it yields.
+    """
+    text = 2 * (len(str(top)) + 2) if top else 0
+    need = order**dimension * (8 * arrays + text)
+    if need > MEMORY_BUDGET:
+        raise InputError(
+            f"order {order} at dimension {dimension} needs about {need >> 20} MiB,"
+            f" above the memory budget of {MEMORY_BUDGET >> 20} MiB"
+        )
 
 
 def _wrap_input(fn):

@@ -86,10 +86,14 @@ def verify_orthogonal_brute(arrays: Sequence[LatinArray]) -> bool:
     """Superpose the arrays and test that all n**d value tuples are distinct.
 
     Independent of the determinant shortcut; works on any arrays of equal
-    shape, one per axis of their common dimension.
+    shape, one per axis of their common dimension.  The n**d codes lie in
+    [0, n**d) because LatinArray bounds every value, so they are distinct
+    exactly when marking each one in a byte per code leaves none unmarked.
     """
     code = superpose(arrays)
-    return int(np.unique(code).size) == code.size
+    seen = np.zeros(code.size, dtype=bool)
+    seen[code.ravel()] = True
+    return bool(seen.all())
 
 
 def superpose(arrays: Sequence[LatinArray]) -> np.ndarray:

@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from pandiag import cli
+from pandiag import cli, magic
 from pandiag.lattice import build
 from pandiag.magic import compose_checked
 from pandiag.params import ParamVector
@@ -177,6 +178,36 @@ def test_generate_order_cap_and_force(capsys):
     assert out.count("\n") == 43
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--order", "101", "--params", "1,2,4,8"],
+        ["generate", "--order", "101", "--params", "1,2,4,8", "--slice", "k=0,l=0", "--format", "grid"],
+        ["magic", "--order", "101", "--params-list", "1,2,4,8;1,3,9,27;1,4,16,64;1,5,25,24"],
+        ["orthogonal", "--order", "101", "--params-list", "1,2,4,8;1,3,9,27;1,4,16,64;1,5,25,24"],
+        ["orthogonal", "--order", "101", "--params-list", "1,2,4,8;1,3,9,27;1,4,16,64;1,5,25,24", "--brute"],
+    ],
+)
+def test_force_stops_at_the_memory_budget_before_building(capsys, monkeypatch, argv):
+    def refuse(v):
+        raise AssertionError("build called")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    monkeypatch.setattr(magic, "build", refuse)
+    code, out, err = run_cli(capsys, argv + ["--force"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: order 101 at dimension 4 needs about ")
+    assert err.endswith(f" MiB, above the memory budget of {cli.MEMORY_BUDGET >> 20} MiB\n")
+
+
+def test_fast_orthogonal_test_needs_no_memory_budget(capsys):
+    argv = ["orthogonal", "--order", "101", "--params-list", "1,2,4,8;1,3,9,27;1,4,16,64;1,5,25,24"]
+    code, out, err = run_cli(capsys, argv + ["--fast", "--force"])
+    assert code in (0, 1)
+    assert out.startswith("det=")
+    assert "budget" not in err
+
+
 def test_force_cannot_exceed_hard_cap(capsys):
     code, _, err = run_cli(
         capsys, ["generate", "--order", "103", "--params", "1,2", "--force"]
@@ -249,6 +280,15 @@ def test_verify_out_of_range_symbol_exit_2(capsys):
     code, _, err = run_cli(capsys, ["verify"], stdin=doc)
     assert code == 2
     assert "values" in err
+
+
+@pytest.mark.parametrize("big", [2**63, 9999999999999999999, 2**64 - 1, 2**64, -(2**63) - 1])
+def test_verify_values_beyond_int64_exit_2(capsys, big):
+    doc = json.dumps({"dimension": 2, "order": 2, "values": [0, 1, 1, big]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["verify"], stdin=doc)
+    assert (code, out, err) == (2, "", "error: values must fit in 64-bit integers\n")
 
 
 @pytest.mark.parametrize(

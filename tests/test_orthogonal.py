@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from pandiag.lattice import build, permute_symbols
+from pandiag.lattice import LatinArray, build, permute_symbols
 from pandiag.orthogonal import (
     ParamMatrix,
     check_orthogonal_fast,
@@ -105,3 +106,25 @@ def test_brute_verdict_survives_symbol_permutation():
             [permute_symbols(a, p) for a, p in zip(arrays, perms)]
         )
         assert before == after
+
+
+def by_tuple_set(arrays):
+    return len(set(zip(*(a.values.ravel().tolist() for a in arrays)))) == arrays[0].values.size
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 5), (3, 7)])
+def test_brute_superposition_matches_tuple_set(d, n):
+    rng = np.random.default_rng(d * 100 + n)
+    pick = random.Random(d * 100 + n)
+    verdicts = set()
+    for _ in range(12):
+        # a permutation's base-n digits are always an orthogonal family
+        codes = rng.permutation(n**d).reshape((n,) * d)
+        digits = [LatinArray(codes // n ** (d - 1 - q) % n) for q in range(d)]
+        linear = [build(ParamVector(tuple(pick.randrange(1, n) for _ in range(d)), n)) for _ in range(d)]
+        noise = [LatinArray(rng.integers(0, n, (n,) * d)) for _ in range(d)]
+        for arrays in (digits, linear, noise, digits[:-1] + linear[-1:]):
+            verdict = verify_orthogonal_brute(arrays)
+            assert verdict == by_tuple_set(arrays)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
