@@ -17,7 +17,8 @@ in its place; any other text, or a values key that does not end up
 holding the placeholder, goes to json.loads whole, with the same result.
 
 Generate, magic and orthogonal --brute refuse, --force or not, a run
-whose estimated arrays and text pass MEMORY_BUDGET, before building.
+whose estimated arrays and text pass MEMORY_BUDGET, before building;
+a 2-D slice's text is not charged.
 
 Exit codes: 0 success or property verified, 1 well-formed input with a
 negative answer (failed verification, infeasible or non-orthogonal
@@ -56,9 +57,6 @@ DEFAULT_ORDER_CAPS = {2: 101, 3: 101, 4: 41}
 
 # bytes of int64 arrays and output text that generate, magic and orthogonal --brute may plan to hold
 MEMORY_BUDGET = 1 << 30
-
-# values below this are written through a digit table looked up per cell
-_TABLE_LIMIT = 1 << 16
 
 # stands in for a plain values list while json.loads reads the header
 _PLACEHOLDER = "<values>"
@@ -239,12 +237,10 @@ def _encode(flat: np.ndarray, sep: str, row: int = 0, offset: int = 0) -> str:
     top = int(flat.max()) + offset
     width = len(str(top))
     buf = np.zeros((flat.size, width + (2 if row else 1)), dtype=np.uint8)
-    if top < _TABLE_LIMIT:
-        table = np.empty((top + 1 - offset, width), dtype=np.uint8)
-        _write_digits(np.arange(offset, top + 1), table)
-        buf[:, :width] = table[flat]
-    else:
-        _write_digits(flat + offset, buf[:, :width])
+    # the one temporary takes the smallest unsigned type that holds top
+    v = np.add(flat, offset, dtype=np.min_scalar_type(top), casting="unsafe")
+    _write_digits(v, buf[:, :width])
+    del v
     buf[:, width] = ord(sep)
     if row:
         buf[row - 1 :: row, width] = ord("\n")
@@ -257,7 +253,7 @@ def _encode(flat: np.ndarray, sep: str, row: int = 0, offset: int = 0) -> str:
 
 
 def _write_digits(v: np.ndarray, out: np.ndarray) -> None:
-    """Write each int64 of v in decimal into its row of out, right-aligned behind NULs; v is consumed."""
+    """Write each unsigned value of v in decimal into its row of out, right-aligned behind NULs; v is consumed."""
     last = out.shape[1] - 1
     for col in range(last, -1, -1):
         digit = out[:, col]
@@ -369,8 +365,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.dim is not None and args.dim != len(alphas):
         raise InputError(f"--dim {args.dim} contradicts {len(alphas)} coefficients")
     _check_order_cap(len(alphas), args.order, args.force)
-    # the built grid and the document's copy of it
-    _check_memory(len(alphas), args.order, 2, args.order)
+    # the built grid and the document's copy of it, and the text of a full document
+    _check_memory(len(alphas), args.order, 2, 0 if args.slice is not None else args.order)
     v = _wrap_input(lambda: ParamVector(alphas, args.order))
     array = _wrap_input(lambda: build(v))
     if args.check:

@@ -200,6 +200,18 @@ def test_force_stops_at_the_memory_budget_before_building(capsys, monkeypatch, a
     assert err.endswith(f" MiB, above the memory budget of {cli.MEMORY_BUDGET >> 20} MiB\n")
 
 
+def test_memory_budget_charges_text_only_for_a_full_document(capsys, monkeypatch):
+    # two int64 grids of 11**4 cells fit in 20 bytes a cell; their text as well does not
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", 20 * 11**4)
+    argv = ["generate", "--order", "11", "--params", "1,2,4,8", "--force"]
+    code, out, err = run_cli(capsys, argv + ["--slice", "k=0,l=0", "--format", "grid"])
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 11
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "above the memory budget" in err
+
+
 def test_fast_orthogonal_test_needs_no_memory_budget(capsys):
     argv = ["orthogonal", "--order", "101", "--params-list", "1,2,4,8;1,3,9,27;1,4,16,64;1,5,25,24"]
     code, out, err = run_cli(capsys, argv + ["--fast", "--force"])

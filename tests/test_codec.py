@@ -69,7 +69,7 @@ def test_latin_documents_match_reference(alphas, n):
     assert_same_text(cli.ArrayDocument(v.dimension, n, build(v).values, "latin"))
 
 
-# (d, n): single-digit values, the digit table, and the digit columns past it
+# (d, n): single-digit values up to five-digit ones, and from uint8 to uint32 temporaries
 @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (2, 101), (3, 4), (3, 41), (4, 3), (4, 11), (4, 17)])
 def test_magic_documents_match_reference(d, n):
     rng = np.random.default_rng(n * 10 + d)
