@@ -19,23 +19,32 @@ with steps n**(d-1-x).  Fixing axis a to v moves the origin by v*steps[a];
 tying a<b equal adds their steps, tying them anti subtracts steps[b] and
 moves the origin by (n-1)*steps[b].  No face wraps, so each square is
 exactly the map origin + r*row_step + c*col_step.  One line table holds
-the local cells of a square's lines; the scan, the failure report and
-enumerate_lines all read it.
+the local cells of a square's lines; enumerate_lines and the failure
+report read it, and the scan reads it through the step-class tables below.
 
 The same line lies in many squares: at d=4 n=41 the canonical scan has
 3,723,456 lines but only 1,184,360 distinct cell sets.  A family is the n
 lines of one kind in one square, and the cover is the set of families, in
 canonical order, that hold the first canonical occurrence of some line.
-The scan tests only the cover, in chunks sized in cells, with one sort
-(latin) or one sum (magic) per line, and its report equals the canonical
-scan's.  A line's verdict depends only on its cell set, so the first
-canonical failing line is the first occurrence of its cell set, which
-lies in the cover; no earlier cover line fails, since it would fail
-earlier in the canonical scan too.  Each line of the cover carries two
-flags, whether its cell set is a row or column of some square and whether
-it is a main diagonal of some square, and every cell set occurs in the
-cover, so the grade ladder reads the same.  lines_checked counts the
-canonical scan's lines.
+The scan tests only the cover, in chunks sized in cells, and its report
+equals the canonical scan's.  A line's verdict depends only on its cell
+set, so the first canonical failing line is the first occurrence of its
+cell set, which lies in the cover; no earlier cover line fails, since it
+would fail earlier in the canonical scan too.  Each line of the cover
+carries two flags, whether its cell set is a row or column of some square
+and whether it is a main diagonal of some square, and every cell set
+occurs in the cover, so the grade ladder reads the same.  lines_checked
+counts the canonical scan's lines.
+
+A family's step class is its line kind with its square's (row_step,
+col_step).  The class alone fixes where the family's cells lie relative
+to the square's origin, and there are at most 4, 21 and 120 classes at
+d=2, 3 and 4, so the cover keeps one int32 table of those offsets per
+class and a chunk's cells are its families' class tables plus their
+origins.  A magic line is tested by its sum.  A latin line of order
+n <= 63 is tested by its bit set: the values lie in [0, n-1], so
+OR(1 << v) over the line's n cells is 2**n - 1, which fits an int64,
+exactly when its n values are distinct.  Larger orders sort each line.
 """
 
 from __future__ import annotations
@@ -202,7 +211,6 @@ def _scan(
 ) -> VerificationReport:
     n, d = values.shape[0], values.ndim
     cover = _line_cover(d, n)
-    rows, cols = _line_table(n).reshape(2, 4, n, n)
     flat = values.ravel()
     step = max(1, _CHUNK_CELLS // (n * n))
     lines_checked = cover.square_count * 4 * n
@@ -211,33 +219,20 @@ def _scan(
 
     for base in range(0, len(cover.kinds), step):
         chunk = slice(base, base + step)
-        kinds = cover.kinds[chunk]
-        origin, row_step, col_step = cover.maps[chunk].T[:, :, None, None]
-        # built in place and freed at once: a chunk holds at most its index
-        # and its lines, not the previous chunk's as well
-        index = rows[kinds]
-        index *= row_step
-        offset = cols[kinds]
-        offset *= col_step
-        index += offset
-        index += origin
-        del offset
+        # each family's cells: its step class's offsets moved to its origin
+        index = cover.offsets.take(cover.classes[chunk], axis=0)
+        index += cover.origins[chunk, None, None]
         lines = flat.take(index)
-        del index
-        # positions of the chunk's failing lines, ascending
-        if magic_sum is None:
-            lines.sort(axis=2)
-            bad = np.flatnonzero(lines != np.arange(n)) // n
-        else:
-            bad = np.flatnonzero(lines.sum(axis=2) != magic_sum)
+        del index  # a chunk holds at most its index and its lines at once
+        bad = _failing_lines(lines, magic_sum)
         del lines
         if not bad.size:
             continue
         rows_cols_ok &= not cover.row_col[chunk].ravel()[bad].any()
         main_diags_ok &= not cover.main_diag[chunk].ravel()[bad].any()
         if failure_at is None:
-            f_idx, k = divmod(int(bad[0]), n)
-            failure_at = (int(cover.squares[base + f_idx]), int(kinds[f_idx]) * n + k)
+            family, k = divmod(base * n + int(bad[0]), n)
+            failure_at = (int(cover.squares[family]), int(cover.kinds[family]) * n + k)
             if fail_fast:
                 lines_checked = failure_at[0] * 4 * n + failure_at[1] + 1
                 break
@@ -258,6 +253,24 @@ def _scan(
     return VerificationReport(False, grade, lines_checked, magic_sum, Failure(line, reason))
 
 
+def _failing_lines(lines: np.ndarray, magic_sum: int | None) -> np.ndarray:
+    """Flat positions of the failing lines in lines, shape (..., n), ascending.
+
+    Overwrites lines.  A magic line fails when its sum is not magic_sum,
+    a latin line of order below 64 when its bit set is not full, and a
+    longer latin line when sorted it is not 0..n-1; a line failed by
+    sorting is listed once per misplaced value.
+    """
+    n = lines.shape[-1]
+    if magic_sum is not None:
+        return np.flatnonzero(lines.sum(axis=-1) != magic_sum)
+    if n < 64:
+        np.left_shift(1, lines, out=lines)
+        return np.flatnonzero(np.bitwise_or.reduce(lines, axis=-1) != (1 << n) - 1)
+    lines.sort(axis=-1)
+    return np.flatnonzero(lines != np.arange(n)) // n
+
+
 def _line_at(square: SquareView, index: int) -> Line:
     rows, cols = _line_table(square.order)
     cells = tuple(map(square.embed, rows[index].tolist(), cols[index].tolist()))
@@ -269,8 +282,9 @@ def _line_table(n: int) -> np.ndarray:
     """Local (rows, cols) of a square's 4n lines, shape (2, 4n, n).
 
     Line k of each kind: row k, column k, and the wrapped diagonals
-    through (0, k) and (0, k-1 mod n).  int32, like the cover's maps:
-    every flat cell of an order up to lattice.MAX_ORDER is below 2**31.
+    through (0, k) and (0, k-1 mod n).  int32, like the cover's offset
+    tables: every flat cell of an order up to lattice.MAX_ORDER is below
+    2**31.
     """
     k, p = np.ogrid[:n, :n]
     rows = np.broadcast_arrays(k, p, p, p)
@@ -285,16 +299,19 @@ class _Cover:
     """The families of lines the scan tests, in canonical order.
 
     A family is the n lines of one kind in one square.  Family f is kind
-    kinds[f] of square squares[f], whose flat map is maps[f] (origin,
-    row_step, col_step).  row_col[f, k] and main_diag[f, k] tell whether
-    line k of the family is a row or column, or a main diagonal, of some
-    square.
+    kinds[f] of square squares[f].  Its step class, classes[f], is its
+    kind with its square's (row_step, col_step), and its line k holds the
+    cells origins[f] + offsets[classes[f], k].  row_col[f, k] and
+    main_diag[f, k] tell whether line k of the family is a row or column,
+    or a main diagonal, of some square.
     """
 
     square_count: int
     squares: np.ndarray
     kinds: np.ndarray
-    maps: np.ndarray
+    classes: np.ndarray
+    origins: np.ndarray
+    offsets: np.ndarray
     row_col: np.ndarray
     main_diag: np.ndarray
 
@@ -340,15 +357,24 @@ def _line_cover(dimension: int, order: int) -> _Cover:
         [seen[_line_keys(n, directions, coords[square[c]], kinds[c])] for c in chunks]
     )
     strides = n ** np.arange(d - 1, -1, -1)
+    maps = (coords[square] @ strides).astype(np.int32)  # origin, row_step, col_step
+    step_classes, classes = np.unique(
+        np.column_stack([kinds, maps[:, 1:]]), axis=0, return_inverse=True
+    )
+    kind, row_step, col_step = step_classes.T
+    rows, cols = _line_table(n).reshape(2, 4, n, n)
     cover = _Cover(
         square_count=len(coords),
         squares=square,
         kinds=kinds,
-        maps=(coords[square] @ strides).astype(np.int32),
+        classes=classes.reshape(-1).astype(np.int16),
+        origins=maps[:, 0].copy(),
+        offsets=rows[kind] * row_step[:, None, None] + cols[kind] * col_step[:, None, None],
         row_col=(flags & _ROW_COL) != 0,
         main_diag=(flags & _MAIN_DIAG) != 0,
     )
-    for field in (cover.squares, cover.kinds, cover.maps, cover.row_col, cover.main_diag):
+    arrays = (cover.squares, cover.kinds, cover.classes, cover.origins, cover.offsets)
+    for field in (*arrays, cover.row_col, cover.main_diag):
         field.flags.writeable = False
     return cover
 

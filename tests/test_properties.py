@@ -13,6 +13,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -339,6 +340,42 @@ def test_verifier_equals_reference_scan_across_chunks(monkeypatch):
                     assert got == reference_magic(values, fail_fast)
     finally:
         clear_verify_caches()
+
+
+# the last order tested by bit sets and the first tested by sorting, and a
+# prime either side of them.  Every line sum of (1, 2, 4) lies in +-1..+-7,
+# so it passes at 61 and 67 and fails some lines at 63 = 9*7; at 64 the odd
+# (1, 3, 5) keep the rows of the fixed-axis squares latin.
+@pytest.mark.parametrize("d, n", [(2, 63), (2, 64), (3, 63), (3, 64), (3, 61), (3, 67)])
+@pytest.mark.parametrize("variant", ["built", "swapped", "random"])
+def test_verifier_equals_reference_scan_either_side_of_64(d, n, variant):
+    rng = np.random.default_rng(n)
+    alphas = (1, 3, 5) if n == 64 else (1, 2, 4)
+    values = build(ParamVector(alphas[:d], n)).values
+    if variant == "swapped":
+        values = swap_cells(values, rng)
+    elif variant == "random":
+        values = rng.integers(0, n, (n,) * d)
+    grades = ("latin", "diagonal-latin", "pandiagonal-latin")
+    for fail_fast in (False, True):
+        got = verify_latin_pandiagonal(LatinArray(values), fail_fast=fail_fast)
+        assert got == reference_scan(values, None, grades, fail_fast)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(2, 63), st.integers(1, 50), st.integers(0, 2**32 - 1))
+def test_bit_set_line_test_equals_sorting(n, count, seed):
+    """The latin line test alone, on permutations, random lines and near misses."""
+    rng = np.random.default_rng(seed)
+    lines = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
+    random = rng.random(count) < 0.3
+    lines[random] = rng.integers(0, n, (int(random.sum()), n))
+    # one value copied over another: a single repeat, with one symbol missing
+    repeat = np.flatnonzero(rng.random(count) < 0.3)
+    src, dst = rng.integers(0, n, (2, len(repeat)))
+    lines[repeat, dst] = lines[repeat, src]
+    expected = np.flatnonzero((np.sort(lines, axis=1) != np.arange(n)).any(axis=1))
+    assert np.array_equal(verify._failing_lines(lines.copy(), None), expected)
 
 
 def clear_verify_caches():

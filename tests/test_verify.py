@@ -379,3 +379,31 @@ def distinct_lines(d, n):
 def test_line_cover_counts(d, n, distinct, tested):
     assert distinct_lines(d, n) == distinct
     assert len(_line_cover(d, n).kinds) * n == tested
+
+
+# The step-class offset tables against SquareView's flat map.
+
+
+@pytest.mark.parametrize(
+    "d, orders, classes",
+    [(2, (3, 4, 5, 11, 101), 4), (3, (3, 4, 5, 7, 11, 101), 21), (4, (3, 4, 5, 7, 17, 41), 120)],
+)
+def test_step_class_counts(d, orders, classes):
+    for n in orders:
+        cover = _line_cover(d, n)
+        assert cover.offsets.shape == (classes, n, n)
+        assert sorted(set(cover.classes.tolist())) == list(range(classes))
+
+
+@pytest.mark.parametrize("d, n", [(3, 11), (4, 5)])
+def test_offset_tables_match_square_views(d, n):
+    cover = _line_cover(d, n)
+    squares = enumerate_squares(d, n)
+    k, p = np.ogrid[:n, :n]
+    # local (row, col) of cell p of line k, per line kind
+    local = [(k, p), (p, k), (p, (p + k) % n), (p, (n - 1 - p + k) % n)]
+    for f, (s, kind) in enumerate(zip(cover.squares.tolist(), cover.kinds.tolist())):
+        square = squares[s]
+        r, c = local[kind]
+        expected = square.origin + r * square.row_step + c * square.col_step
+        assert np.array_equal(cover.offsets[cover.classes[f]] + cover.origins[f], expected), f
