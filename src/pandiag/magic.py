@@ -20,7 +20,7 @@ import numpy as np
 from .lattice import LatinArray, build, permute_symbols, value_grid
 from .modarith import gcd
 from .orthogonal import ParamMatrix, determinant, superpose, unit_determinant_masks
-from .params import DIMENSIONS, ParamVector, check, enumerate_feasible
+from .params import DIMENSIONS, ParamVector, _feasible_rows, check
 
 # distinct-grid counting materializes every family x relabeling combination;
 # beyond d=2, n=5 that is no longer desk-scale
@@ -122,7 +122,7 @@ def compose_checked(
 
 def count_orthogonal_families(dimension: int, order: int) -> int:
     """Ordered d-tuples of canonical feasible vectors passing the determinant test."""
-    _, rows = _family_rows(dimension, order)
+    rows = _family_rows(dimension, order)
     return sum(int(np.count_nonzero(mask)) for mask in unit_determinant_masks(rows, order))
 
 
@@ -157,21 +157,21 @@ def count_constructed(dimension: int, order: int, distinct: bool = False) -> int
     return len(seen)
 
 
-def _family_rows(dimension: int, order: int) -> tuple[list[ParamVector], np.ndarray]:
-    """The canonical feasible vectors, also as a (K, d) array, within the census cap."""
-    canonical = enumerate_feasible(dimension, order, canonical_only=True)
-    if len(canonical) ** dimension > _MAX_FAMILY_COMBOS:
+def _family_rows(dimension: int, order: int) -> np.ndarray:
+    """The canonical feasible vectors as a (K, d) array, within the census cap."""
+    rows = _feasible_rows(dimension, order, canonical_only=True)
+    if len(rows) ** dimension > _MAX_FAMILY_COMBOS:
         raise ValueError(
             "out of supported range: too many candidate families"
-            f" ({len(canonical)}**{dimension})"
+            f" ({len(rows)}**{dimension})"
         )
-    rows = np.array([v.alphas for v in canonical], dtype=np.int64).reshape(-1, dimension)
-    return canonical, rows
+    return rows
 
 
 def _iter_families(dimension: int, order: int):
     """Orthogonal families of canonical vectors, in itertools.product order."""
-    vectors, rows = _family_rows(dimension, order)
+    rows = _family_rows(dimension, order)
+    vectors = [ParamVector(r, order) for r in rows.tolist()]
     below = (len(vectors),) * (dimension - 1)
     for top, mask in zip(vectors, unit_determinant_masks(rows, order)):
         for idx in zip(*np.unravel_index(np.flatnonzero(mask), below)):

@@ -10,15 +10,17 @@ in reporting order.  The ids name the integer that must be coprime to n
 (pair_sum(0,1) is alpha_0 + alpha_1, total_less_double(2) is the total
 less twice alpha_2, and so on), and each u carries the sign its id implies,
 so a violation reports (alpha . u) mod n.  A value of 0 (gcd n) counts as
-a violation.  The checks walk the table one vector at a time; the search
-tests every candidate for one coordinate at once against the directions
-whose last nonzero entry is that coordinate.
+a violation.  The checks walk the table one vector at a time.  The search
+fixes one coordinate per level: one numpy pass tests a whole block of
+prefixes with every unit candidate for the next coordinate against the
+directions whose last nonzero entry is that coordinate, and the vectors it
+yields are built without being checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from operator import mul
 from typing import Iterator
 
@@ -72,13 +74,14 @@ DIRECTIONS = {d: _direction_table(d) for d in DIMENSIONS}
 def _search_levels(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per coordinate k, the directions whose last nonzero entry is k.
 
-    Level k holds (head, last): head has one row per such direction with
-    its entries on coordinates 0 .. k-1, last has its entry on k.
+    Level k holds (head, last): head has one column per such direction
+    with its entries on coordinates 0 .. k-1, last has its entry on k.  The
+    direction e_k is left out: the search only offers units for alpha_k.
     """
     levels = []
     for k in range(d):
-        us = [u for _, u in DIRECTIONS[d] if any(u[k:]) and not any(u[k + 1 :])]
-        head = np.array([u[:k] for u in us], dtype=np.int64).reshape(len(us), k)
+        us = [u for _, u in DIRECTIONS[d] if any(u[:k]) and u[k] and not any(u[k + 1 :])]
+        head = np.array([u[:k] for u in us], dtype=np.int64).reshape(len(us), k).T.copy()
         levels.append((head, np.array([u[k] for u in us], dtype=np.int64)))
     return tuple(levels)
 
@@ -95,10 +98,7 @@ class ParamVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphas", tuple(int(a) for a in self.alphas))
-        if self.dimension not in DIMENSIONS:
-            raise ValueError(
-                f"dimension must be one of {DIMENSIONS}, got {self.dimension}"
-            )
+        _check_dimension(self.dimension)
         if not 2 <= self.order <= MAX_MODULUS:
             raise ValueError(f"order {self.order} outside [2, {MAX_MODULUS}]")
         for a in self.alphas:
@@ -191,44 +191,107 @@ def iter_feasible(
 ) -> Iterator[ParamVector]:
     """Lazy lexicographic feasibility search.
 
-    A depth-first walk fixes one coordinate per level.  At level k every
-    unit candidate for alpha_k is tested at once against the directions
-    whose last nonzero entry is k; their other entries are already fixed,
-    so a prefix is pruned as soon as one of its directions fails, and a
-    candidate that survives the last level is feasible.  Arguments are
-    validated eagerly; only the search itself is deferred.
+    The walk fixes one coordinate per level and works on blocks of
+    prefixes, kept in lexicographic order.  At level k one numpy pass
+    tests every (prefix, unit candidate) pair of a block against the
+    directions whose last nonzero entry is k; their other entries are
+    already fixed, so a prefix is pruned at the first level where one of
+    its directions fails.  The survivors, still in order, are split into
+    the blocks of level k + 1, each small enough that its pass stays
+    within a fixed cell budget, and walked depth first, so the search is
+    lazy at block granularity: a next() runs at most the passes needed to
+    reach the next block of feasible vectors, and vectors are built one
+    per next().  Arguments are validated eagerly; only the search itself
+    is deferred.
     """
-    if dimension not in DIMENSIONS:
-        raise ValueError(f"dimension must be one of {DIMENSIONS}, got {dimension}")
-    if not 2 <= order <= MAX_MODULUS:
-        raise ValueError(f"order {order} outside [2, {MAX_MODULUS}]")
-    unit = unit_table(order)
-    units = np.flatnonzero(unit)
-    levels = _SEARCH_LEVELS[dimension]
+    blocks = _feasible_blocks(dimension, order, canonical_only)
 
-    def extend(prefix: tuple[int, ...]) -> Iterator[ParamVector]:
-        k = len(prefix)
-        head, last = levels[k]
-        choices = units[:1] if (canonical_only and not k) else units
-        fixed = head @ np.array(prefix, dtype=np.int64)
-        ok = unit[(fixed + np.multiply.outer(choices, last)) % order].all(axis=1)
-        for a in choices[ok].tolist():
-            if k == dimension - 1:
-                yield ParamVector(prefix + (a,), order)
-            else:
-                yield from extend(prefix + (a,))
+    def vectors() -> Iterator[ParamVector]:
+        for block in blocks:
+            # zipping Python-int columns is leaner than a list per row
+            yield from map(_trusted_vector, zip(*(c.tolist() for c in block.T)), repeat(order))
 
-    return extend(())
+    return vectors()
 
 
 def minimal_order(dimension: int, max_order: int) -> int | None:
     """Smallest order in [2, max_order] admitting a feasible vector, else None."""
+    _check_dimension(dimension)
     for n in range(2, max_order + 1):
         # canonical search suffices: scaling by the inverse of the leading
         # component maps any feasible vector to a canonical feasible one
         if next(iter_feasible(dimension, n, canonical_only=True), None) is not None:
             return n
     return None
+
+
+# cells of the (prefix, candidate, direction) test that one search pass
+# may cover; a single prefix whose candidates exceed it still makes a pass
+_BLOCK_CELLS = 1 << 12
+
+
+def _feasible_rows(dimension: int, order: int, canonical_only: bool) -> np.ndarray:
+    """Every feasible vector as one row of a (K, dimension) int64 array, in order."""
+    blocks = _feasible_blocks(dimension, order, canonical_only)
+    return np.concatenate([np.empty((0, dimension), dtype=np.int64), *blocks])
+
+
+def _feasible_blocks(
+    dimension: int, order: int, canonical_only: bool
+) -> Iterator[np.ndarray]:
+    """The feasible vectors as (P, dimension) int64 blocks, in lexicographic order.
+
+    Arguments are validated before the walk starts.
+    """
+    _check_dimension(dimension)
+    if not 2 <= order <= MAX_MODULUS:
+        raise ValueError(f"order {order} outside [2, {MAX_MODULUS}]")
+    unit = unit_table(order)
+    units = np.flatnonzero(unit)
+    # a reduced fixed part plus a reduced candidate term lies in [0, 2n)
+    reach = np.concatenate((unit, unit))
+    levels = []
+    for k, (head, last) in enumerate(_SEARCH_LEVELS[dimension]):
+        choices = units[:1] if (canonical_only and not k) else units
+        term = np.multiply.outer(choices, last) % order
+        levels.append((head, term, choices, reach, order))
+
+    def walk(block: np.ndarray) -> Iterator[np.ndarray]:
+        k = block.shape[1]
+        children = _extend(block, levels[k])
+        if k + 1 == dimension:
+            if len(children):
+                yield children
+            return
+        # a prefix of the next level costs one cell per (candidate, direction)
+        step = max(1, _BLOCK_CELLS // levels[k + 1][1].size)
+        for lo in range(0, len(children), step):
+            yield from walk(children[lo : lo + step])
+
+    return walk(np.empty((1, 0), dtype=np.int64))
+
+
+def _extend(block: np.ndarray, level) -> np.ndarray:
+    """One pass: the (prefix, candidate) pairs of a block that pass a level, in order."""
+    head, term, choices, reach, n = level
+    fixed = block @ head % n
+    ok = reach[fixed[:, None, :] + term].all(axis=2)
+    rows, cols = np.nonzero(ok)
+    return np.column_stack((block[rows], choices[cols]))
+
+
+def _trusted_vector(alphas: tuple[int, ...], order: int) -> ParamVector:
+    """A ParamVector from values the search already knows to be valid, unchecked."""
+    v = object.__new__(ParamVector)
+    # as the frozen __init__ does; touching v.__dict__ would cost a dict per vector
+    object.__setattr__(v, "alphas", alphas)
+    object.__setattr__(v, "order", order)
+    return v
+
+
+def _check_dimension(dimension: int) -> None:
+    if dimension not in DIMENSIONS:
+        raise ValueError(f"dimension must be one of {DIMENSIONS}, got {dimension}")
 
 
 def _check(v: ParamVector, d: int) -> ConstraintReport:

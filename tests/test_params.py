@@ -207,6 +207,13 @@ def test_minimal_orders():
     assert minimal_order(4, 13) is None
 
 
+def test_minimal_order_validates_dimension_eagerly():
+    # an empty order range must not hide a bad dimension
+    for max_order in (1, 5):
+        with pytest.raises(ValueError, match="dimension must be one of"):
+            minimal_order(7, max_order)
+
+
 def test_iter_feasible_validates_eagerly():
     from pandiag.params import iter_feasible
 
@@ -309,14 +316,30 @@ def test_iter_feasible_yields_lazily(monkeypatch):
     from pandiag import params
 
     built = []
+    trusted = params._trusted_vector
 
-    class Counting(params.ParamVector):
-        def __post_init__(self):
-            built.append(self.alphas)
-            super().__post_init__()
+    def counting(alphas, order):
+        built.append(alphas)
+        return trusted(alphas, order)
 
-    monkeypatch.setattr(params, "ParamVector", Counting)
+    monkeypatch.setattr(params, "_trusted_vector", counting)
     it = params.iter_feasible(4, 41, canonical_only=True)
     first = [next(it) for _ in range(10)]
     assert len(built) == 10
     assert [v.alphas for v in first] == sorted(v.alphas for v in first)
+
+
+def test_first_vector_costs_one_block_per_level(monkeypatch):
+    from pandiag import params
+
+    passes = []
+    extend = params._extend
+
+    def counting(block, level):
+        passes.append(block.shape[1])
+        return extend(block, level)
+
+    monkeypatch.setattr(params, "_extend", counting)
+    first = next(params.iter_feasible(4, 101, canonical_only=True))
+    assert first.alphas == (1, 2, 4, 8)
+    assert passes == [0, 1, 2, 3]

@@ -10,7 +10,7 @@ its rows, columns and diagonals itself, using no verify internals.
 import math
 import tracemalloc
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, takewhile
 
 import numpy as np
 import pytest
@@ -49,9 +49,11 @@ def directions(d):
     return [u for u in product((0, 1, -1), repeat=d) if any(u) and next(c for c in u if c) == 1]
 
 
-def brute_feasible(d, n, canonical=False):
+def brute_feasible(d, n, canonical=False, first=None):
+    """Feasible vectors in lexicographic order; first, if given, lists the leading components."""
     dirs = directions(d)
-    first = [1] if canonical else range(1, n)
+    if first is None:
+        first = [1] if canonical else range(1, n)
     return [
         v
         for v in product(first, *[range(1, n)] * (d - 1))
@@ -96,6 +98,52 @@ def test_search_equals_brute_filter(point, canonical):
     d, n = point
     got = [v.alphas for v in enumerate_feasible(d, n, canonical)]
     assert got == brute_feasible(d, n, canonical)
+
+
+def _assert_trusted_vectors(got, n):
+    for v in got:
+        public = ParamVector(v.alphas, n)
+        assert type(v) is ParamVector
+        assert all(type(a) is int for a in v.alphas) and type(v.order) is int
+        assert v == public and hash(v) == hash(public)
+        assert str(v) == str(public)
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(points({2: 40, 3: 22, 4: 17}), st.booleans(), st.sampled_from([1, 1001]))
+@example((2, 35), False, 1001)
+@example((3, 11), False, 1001)
+@example((3, 21), True, 1)
+@example((4, 17), True, 1001)
+@example((4, 15), False, 1)
+def test_search_across_block_boundaries(point, canonical, cells):
+    # a 1-cell budget makes every prefix its own block; with 1001 cells
+    # most levels take several prefixes per block and end on a short one
+    from pandiag import params
+
+    d, n = point
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(params, "_BLOCK_CELLS", cells)
+        got = list(iter_feasible(d, n, canonical))
+    assert [v.alphas for v in got] == brute_feasible(d, n, canonical)
+    _assert_trusted_vectors(got, n)
+
+
+@pytest.mark.parametrize("cells", [1, 1001, None])
+def test_search_across_block_boundaries_997(monkeypatch, cells):
+    # at n=997 level 1 has 996 prefixes of 996 candidates, so even the
+    # default budget splits it; the full brute filter takes seconds, so
+    # the non-canonical search is compared over its first leading components
+    from pandiag import params
+
+    if cells is not None:
+        monkeypatch.setattr(params, "_BLOCK_CELLS", cells)
+    canonical = list(iter_feasible(2, 997, canonical_only=True))
+    assert [v.alphas for v in canonical] == brute_feasible(2, 997, canonical=True)
+    _assert_trusted_vectors(canonical, 997)
+    head = list(takewhile(lambda v: v.alphas[0] <= 12, iter_feasible(2, 997)))
+    assert [v.alphas for v in head] == brute_feasible(2, 997, first=range(1, 13))
+    _assert_trusted_vectors(head[::97], 997)
 
 
 @SETTINGS
