@@ -372,8 +372,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.check:
         report = verify_latin_pandiagonal(array)
         if not report.passed:
-            reason = report.first_failure.reason if report.first_failure else "unknown"
-            print(f"check failed: {reason}", file=sys.stderr)
+            print(f"check failed: {report.first_failure.reason}", file=sys.stderr)
             return 1
     if args.slice is not None:
         spec = _parse_slice_spec(args.slice, v.dimension, v.order)
@@ -391,31 +390,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "magic-pandiagonal" if doc.kind == "magic" else "latin-pandiagonal"
     )
     if expect == "latin-pandiagonal":
-        try:
-            array = LatinArray(doc.values)
-        except ValueError as exc:
-            print(f"verification failed: {exc}", file=sys.stderr)
-            return 1
-        report = verify_latin_pandiagonal(array, fail_fast=args.fail_fast)
-        if report.passed:
-            print(f"verified {report.property}: lines={report.lines_checked}")
-            return 0
+        array_type, verify = LatinArray, verify_latin_pandiagonal
     else:
-        try:
-            candidate = MagicArray(doc.values)
-        except ValueError as exc:
-            print(f"verification failed: {exc}", file=sys.stderr)
-            return 1
-        report = verify_magic_pandiagonal(candidate, fail_fast=args.fail_fast)
-        if report.passed:
-            print(
-                f"verified {report.property}: sum={report.magic_sum},"
-                f" lines={report.lines_checked}"
-            )
-            return 0
-    reason = report.first_failure.reason if report.first_failure else "unknown"
-    achieved = report.property or "none"
-    print(f"verification failed (achieved: {achieved}): {reason}", file=sys.stderr)
+        array_type, verify = MagicArray, verify_magic_pandiagonal
+    try:
+        array = array_type(doc.values)
+    except ValueError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
+    report = verify(array, fail_fast=args.fail_fast)
+    if report.passed:
+        total = "" if report.magic_sum is None else f"sum={report.magic_sum}, "
+        print(f"verified {report.property}: {total}lines={report.lines_checked}")
+        return 0
+    reason = report.first_failure.reason
+    print(f"verification failed (achieved: {report.property or 'none'}): {reason}", file=sys.stderr)
     return 1
 
 
@@ -479,8 +468,7 @@ def _cmd_magic(args: argparse.Namespace) -> int:
     if args.check:
         report = verify_magic_pandiagonal(composed)
         if not report.passed:
-            reason = report.first_failure.reason if report.first_failure else "unknown"
-            print(f"check failed: {reason}", file=sys.stderr)
+            print(f"check failed: {report.first_failure.reason}", file=sys.stderr)
             return 1
     doc = ArrayDocument(
         dimension,

@@ -230,12 +230,6 @@ def minimal_order(dimension: int, max_order: int) -> int | None:
 _BLOCK_CELLS = 1 << 12
 
 
-def _feasible_rows(dimension: int, order: int, canonical_only: bool) -> np.ndarray:
-    """Every feasible vector as one row of a (K, dimension) int64 array, in order."""
-    blocks = _feasible_blocks(dimension, order, canonical_only)
-    return np.concatenate([np.empty((0, dimension), dtype=np.int64), *blocks])
-
-
 def _feasible_blocks(
     dimension: int, order: int, canonical_only: bool
 ) -> Iterator[np.ndarray]:

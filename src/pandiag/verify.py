@@ -13,14 +13,19 @@ each square's lines in the order rows, columns, diagonal-plus,
 diagonal-minus.
 
 The verifier reads only the value grid, never construction provenance.
-A box is a flat affine map of its local coordinates into the C-ordered
-grid, origin plus one step per local axis, starting from the whole array
-with steps n**(d-1-x).  Fixing axis a to v moves the origin by v*steps[a];
+A box is an affine map of its local coordinates into the grid, origin
+plus one step per local axis, starting from the whole array with step
+e_x along axis x.  Fixing axis a to v moves the origin by v*steps[a];
 tying a<b equal adds their steps, tying them anti subtracts steps[b] and
 moves the origin by (n-1)*steps[b].  No face wraps, so each square is
-exactly the map origin + r*row_step + c*col_step.  One line table holds
-the local cells of a square's lines; enumerate_lines and the failure
-report read it, and the scan reads it through the step-class tables below.
+exactly the map origin + r*row_step + c*col_step, and times the strides
+n**(d-1-x) it is a flat map into the C-ordered grid.  The scan's table of
+squares applies the rule a level at a time, to every box of a level as
+arrays.  A failing square is named by its index: the k*n + k*(k-1) faces
+of a k-box hold equally many squares, so the index picks one face per
+level.  One line table holds the local cells of a square's lines;
+enumerate_lines and the failure report read it, and the scan reads it
+through the step-class tables below.
 
 The same line lies in many squares: at d=4 n=41 the canonical scan has
 3,723,456 lines but only 1,184,360 distinct cell sets.  A family is the n
@@ -51,7 +56,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
+from math import prod
 from typing import Iterator
 
 import numpy as np
@@ -132,15 +138,17 @@ def enumerate_squares(dimension: int, order: int) -> tuple[SquareView, ...]:
     if dimension not in DIMENSIONS:
         raise ValueError(f"dimension must be 2, 3 or 4, got {dimension}")
     _check_order(order)
-    return tuple(
-        SquareView(
-            order,
-            "".join(f"cube({x})/" for x in labels[:-1]) + labels[-1] if labels else "square",
-            dimension,
-            origin,
-            *steps,
+    # (face labels, local axis names, origin, steps) of each box
+    boxes = iter([((), *_whole_box(dimension, order))])
+    for _ in range(dimension - 2):
+        boxes = (
+            (labels + (label,), *face)
+            for labels, *box in boxes
+            for label, *face in _faces(order, *box)
         )
-        for labels, origin, steps in _walk(dimension, order, order)
+    return tuple(
+        SquareView(order, _square_id(labels), dimension, origin, *steps)
+        for labels, _, origin, steps in boxes
     )
 
 
@@ -241,7 +249,7 @@ def _scan(
 
     if failure_at is None:
         return VerificationReport(True, grades[2], lines_checked, magic_sum)
-    square = enumerate_squares(d, n)[failure_at[0]]
+    square = _square_at(d, n, failure_at[0])
     line = _line_at(square, failure_at[1])
     found = [int(values[c]) for c in line.cells]
     if magic_sum is None:
@@ -273,7 +281,9 @@ def _failing_lines(lines: np.ndarray, magic_sum: int | None) -> np.ndarray:
 
 def _line_at(square: SquareView, index: int) -> Line:
     rows, cols = _line_table(square.order)
-    cells = tuple(map(square.embed, rows[index].tolist(), cols[index].tolist()))
+    flat = square.origin + rows[index] * square.row_step + cols[index] * square.col_step
+    coords = np.unravel_index(flat, (square.order,) * square.dimension)
+    cells = tuple(zip(*(c.tolist() for c in coords)))
     return Line(cells, LINE_KINDS[index // square.order], square.square_id)
 
 
@@ -435,17 +445,38 @@ def _direction_index(dimension: int) -> np.ndarray:
 def _square_coords(dimension: int, order: int) -> np.ndarray:
     """Origin cell, row signs and column signs of every square, shape (S, 3, d).
 
-    The walk runs with strides B**(d-1-x), B = max(n, 3), so every origin
-    coordinate (0..n-1) and every step sign plus one (0..2) is a separate
-    base-B digit of the number the walk yields.
+    _faces runs once per box level, on the origins and steps of every box
+    of the level as (boxes, d) arrays of coordinates and sign vectors; its
+    face-major output is stacked box-major.  A failing square is named by
+    its index instead, through _square_at, one face per level.
     """
-    base = max(order, 3)
-    walk = _walk(dimension, order, base)
-    table = np.array([(origin, *steps) for _, origin, steps in walk], dtype=np.int64)
-    table[:, 1:] += sum(base**x for x in range(dimension))
-    digits = table[:, :, None] // base ** np.arange(dimension - 1, -1, -1) % base
-    digits[:, 1:] -= 1
-    return digits
+    d = dimension
+    # the whole array: origin 0, local axis x along global axis x
+    maps = [np.zeros((1, d), dtype=np.int64), *np.eye(d, dtype=np.int64)[:, None]]
+    for k in range(d, 2, -1):
+        faces = _faces(order, AXIS_NAMES[:k], maps[0], tuple(maps[1:]))
+        # (origin, *steps) of each face over every box, stacked so box b's faces stay together
+        columns = zip(*((origin, *steps) for _, _, origin, steps in faces))
+        maps = [np.stack(column, axis=1).reshape(-1, d) for column in columns]
+    return np.stack(maps, axis=1)
+
+
+def _square_at(dimension: int, order: int, index: int) -> SquareView:
+    """Square index of the canonical order, found by descending one face per level."""
+    labels: tuple[str, ...] = ()
+    box = _whole_box(dimension, order)
+    for k in range(dimension, 2, -1):
+        # each face of a k-box is a (k-1)-box, and a j-box has j*n + j*(j-1) faces
+        face, index = divmod(index, prod(j * (order + j - 1) for j in range(3, k)))
+        label, *box = next(islice(_faces(order, *box), face, None))
+        labels += (label,)
+    _, origin, steps = box
+    return SquareView(order, _square_id(labels), dimension, origin, *steps)
+
+
+def _square_id(labels: tuple[str, ...]) -> str:
+    """Id of the square reached by a path of face labels: cube(l=3)/i=j, or square."""
+    return "".join(f"cube({x})/" for x in labels[:-1]) + labels[-1] if labels else "square"
 
 
 def _check_order(order: int) -> None:
@@ -453,28 +484,9 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be at least 2, got {order}")
 
 
-def _walk(
-    dimension: int, order: int, base: int
-) -> Iterator[tuple[tuple[str, ...], int, tuple[int, ...]]]:
-    """(face labels, origin, (row_step, col_step)) of every square, in canonical order.
-
-    The walk starts from the whole array with strides base**(d-1-x).  With
-    base = order, origin and steps are flat positions in the C-ordered grid.
-    """
-    # (labels, local axis names, origin, steps) of each box
-    boxes = iter([((), *_whole_box(dimension, base))])
-    for _ in range(dimension - 2):
-        boxes = (
-            (labels + (label,), *face)
-            for labels, *box in boxes
-            for label, *face in _faces(order, *box)
-        )
-    return ((labels, origin, steps) for labels, _, origin, steps in boxes)
-
-
-def _whole_box(dimension: int, base: int) -> tuple[tuple[str, ...], int, tuple[int, ...]]:
-    """The whole array as a box: local axis x is global axis x, with stride base**(d-1-x)."""
-    strides = tuple(base ** (dimension - 1 - x) for x in range(dimension))
+def _whole_box(dimension: int, order: int) -> tuple[tuple[str, ...], int, tuple[int, ...]]:
+    """The whole array as a box: local axis x is global axis x, with stride n**(d-1-x)."""
+    strides = tuple(order ** (dimension - 1 - x) for x in range(dimension))
     return tuple(AXIS_NAMES[:dimension]), 0, strides
 
 

@@ -35,6 +35,8 @@ SETTINGS = settings(max_examples=20, deadline=None, database=None)
 
 # the census at the family cap stays within this much transient memory
 CENSUS_MEMORY_BUDGET = 16 * 2**20
+# a census past the cap counts its rows without keeping them
+CENSUS_CAP_ERROR_MEMORY_BUDGET = 2**20
 # verifying a d=3 n=101 array: the first call builds and keeps the line
 # cover, a later call holds only its chunk of gathered cells
 VERIFY_FIRST_MEMORY_BUDGET = 12 * 2**20
@@ -206,6 +208,18 @@ def test_census_memory_at_cap():
         tracemalloc.stop()
     assert 0 < total <= k**d
     assert peak < CENSUS_MEMORY_BUDGET, f"census peak {peak / 2**20:.1f} MB"
+
+
+def test_census_cap_error_keeps_no_rows():
+    # (4,101) has 681,120 canonical vectors, 21.8 MB as int64 rows
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"too many candidate families \(681120\*\*4\)$"):
+            count_orthogonal_families(4, 101)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < CENSUS_CAP_ERROR_MEMORY_BUDGET, f"cap error peak {peak / 2**20:.1f} MB"
 
 
 # reference verifier

@@ -15,9 +15,12 @@ from fixtures import (
 from pandiag.lattice import LatinArray, SliceSpec, Tie, build, slice_values
 from pandiag.magic import MagicArray
 from pandiag.params import ParamVector
+from pandiag import verify
 from pandiag.verify import (
     Line,
     _line_cover,
+    _square_at,
+    _square_coords,
     enumerate_cubes,
     enumerate_lines,
     enumerate_squares,
@@ -326,6 +329,35 @@ def test_slice_spec_and_square_view_agree():
     values = np.arange(n**4).reshape((n,) * 4)
     for spec, square_id in cases:
         assert np.array_equal(slice_values(values, spec), squares[square_id].materialize(values))
+
+
+# The scan's square table and failure naming against enumerate_squares.
+
+SQUARE_POINTS = [(2, 2), (2, 5), (3, 2), (3, 11), (4, 2), (4, 5), (4, 17)]
+
+
+@pytest.mark.parametrize("d, n", SQUARE_POINTS)
+def test_square_at_descends_to_every_square(d, n):
+    squares = enumerate_squares(d, n)
+    assert [_square_at(d, n, s) for s in range(len(squares))] == list(squares)
+
+
+@pytest.mark.parametrize("d, n", [*SQUARE_POINTS, (4, 41)])
+def test_square_coords_are_the_square_views(d, n):
+    maps = _square_coords(d, n) @ (n ** np.arange(d - 1, -1, -1))
+    expected = [(sq.origin, sq.row_step, sq.col_step) for sq in enumerate_squares(d, n)]
+    assert maps.tolist() == [list(m) for m in expected]
+
+
+def test_failing_scan_builds_no_square_table():
+    a = build(ParamVector((1, 2, 4, 10), 17))
+    for cache in (enumerate_squares, _line_cover, verify._line_table, verify._direction_index):
+        cache.cache_clear()
+    report = verify_latin_pandiagonal(a)
+    assert report.first_failure.line.square_id == "cube(i=j)/ij=k"
+    assert enumerate_squares.cache_info().currsize == 0
+    # square 3927 of 4560, reached through a tie face at the top level
+    assert enumerate_squares(4, 17)[3927].square_id == report.first_failure.line.square_id
 
 
 # The line cover against an oracle that reads lines only through SquareView
