@@ -12,13 +12,21 @@ grid and csv renderers, splices in the digits of every cell, so the bytes
 are those of json.dumps of the int list or of a string join.  The reader
 parses a values list of plain digits and commas (no empty token, no
 leading zero, at most 18 digits per token, in an ASCII text with no
-backslash) with numpy and hands json.loads the rest with a placeholder string
-in its place; any other text, or a values key that does not end up
-holding the placeholder, goes to json.loads whole, with the same result.
+backslash) with numpy, in blocks of about _READ_BLOCK characters into one
+array sized by the comma count, and hands json.loads the rest with a
+placeholder string in its place; any other text, or a values key that
+does not end up holding the placeholder, goes to json.loads whole, with
+the same result.
+
+A grid is held once: the arrays that build, compose and the reader make
+are frozen and kept as they are by LatinArray, MagicArray and
+ArrayDocument, which copy only arrays that come from their callers.
 
 Generate, magic and orthogonal --brute refuse, --force or not, a run
 whose estimated arrays and text pass MEMORY_BUDGET, before building;
-a 2-D slice's text is not charged.
+a 2-D slice's text is not charged.  Verify and slice refuse a document
+the same way before parsing any value: its text twice, as read and as
+decoded, and the bytes each value will take.
 
 Exit codes: 0 success or property verified, 1 well-formed input with a
 negative answer (failed verification, infeasible or non-orthogonal
@@ -42,6 +50,7 @@ from .lattice import (
     LatinArray,
     SliceSpec,
     Tie,
+    _own_grid,
     build,
     slice_values,
     value_grid,
@@ -60,6 +69,9 @@ MEMORY_BUDGET = 1 << 30
 
 # stands in for a plain values list while json.loads reads the header
 _PLACEHOLDER = "<values>"
+
+# characters of a plain values list checked and parsed at a time
+_READ_BLOCK = 1 << 18
 
 KINDS = ("latin", "magic")
 
@@ -90,6 +102,8 @@ class ArrayDocument:
             vals = np.asarray(self.values, dtype=np.int64)
         except OverflowError:
             raise InputError("values must fit in 64-bit integers") from None
+        if isinstance(self.values, list):
+            _own_grid(vals)  # made from the list just now, so no one else holds it
         expected = (self.order,) * self.dimension
         if vals.shape != expected:
             if vals.size == self.order**self.dimension and vals.ndim == 1:
@@ -128,6 +142,9 @@ def document_to_json(doc: ArrayDocument) -> str:
 def document_from_json(text: str) -> ArrayDocument:
     raw = _plain_document(text)
     if raw is None:
+        # the text as read and as decoded; a JSON list holds at most one value more than
+        # it has commas, and json.loads keeps a list slot and a 32-byte int for each besides its cell
+        _charge("the document", 2 * len(text) + 48 * (text.count(",") + 1))
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -173,7 +190,11 @@ def _plain_document(text: str) -> dict | None:
         return None
     lo = key + len('"values":[')
     hi = text.find("]", lo)
-    values = _plain_ints(text[lo:hi].encode("ascii")) if hi >= 0 else None
+    if hi < 0:
+        return None
+    count = text.count(",", lo, hi) + 1
+    _charge("the document", 2 * len(text) + 8 * count)  # the text as read and as decoded, and the cells
+    values = _plain_ints(text, lo, hi, count)
     if values is None:
         return None
     try:
@@ -182,17 +203,40 @@ def _plain_document(text: str) -> dict | None:
         return None
     if not isinstance(raw, dict) or raw.get("values") != _PLACEHOLDER:
         return None
-    raw["values"] = values
+    raw["values"] = _own_grid(values)
     return raw
 
 
-def _plain_ints(span: bytes) -> np.ndarray | None:
+def _plain_ints(text: str, lo: int, hi: int, count: int) -> np.ndarray | None:
+    """text[lo:hi] parsed as int64 when it is plain JSON integers joined by commas, else None.
+
+    The span holds count - 1 commas, so its count values go into one
+    array allocated up front.  It is read in blocks of about _READ_BLOCK
+    characters that end before a comma; each block is then a plain list
+    on its own, and the temporaries stay block-sized.
+    """
+    out = np.empty(count, dtype=np.int64)
+    at = 0
+    while True:
+        end = text.find(",", min(lo + _READ_BLOCK, hi), hi)
+        end = hi if end < 0 else end
+        block = _plain_block(text[lo:end])
+        if block is None:
+            return None
+        out[at : at + block.size] = block
+        at += block.size
+        if end == hi:
+            return out
+        lo = end + 1
+
+
+def _plain_block(span: str) -> np.ndarray | None:
     """span parsed as int64 when it is plain JSON integers joined by commas, else None.
 
     Plain means digits and commas only, no empty token, no leading zero
     and at most 18 digits per token, so every token fits in an int64.
     """
-    b = np.frombuffer(span, dtype=np.uint8)
+    b = np.frombuffer(span.encode("ascii"), dtype=np.uint8)
     cut = np.ones(b.size + 2, dtype=bool)  # commas, with one more at each end
     np.equal(b, ord(","), out=cut[1:-1])
     if (cut[1:] & cut[:-1]).any() or not ((b - ord("0") < 10) | cut[1:-1]).all():
@@ -249,7 +293,9 @@ def _encode(flat: np.ndarray, sep: str, row: int = 0, offset: int = 0) -> str:
         buf[-1, width] = 0
     text = buf.tobytes()
     del buf
-    return text.replace(b"\0", b"").decode("ascii")
+    # rebinding drops the padded bytes before the str is made, so at most two copies live
+    text = text.replace(b"\0", b"")
+    return text.decode("ascii")
 
 
 def _write_digits(v: np.ndarray, out: np.ndarray) -> None:
@@ -365,7 +411,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.dim is not None and args.dim != len(alphas):
         raise InputError(f"--dim {args.dim} contradicts {len(alphas)} coefficients")
     _check_order_cap(len(alphas), args.order, args.force)
-    # the built grid and the document's copy of it, and the text of a full document
+    # the built grid, held once; a second grid's worth for the encoder's digit temporaries
+    # and the interpreter, which the measured peaks need; and the text of a full document
     _check_memory(len(alphas), args.order, 2, 0 if args.slice is not None else args.order)
     v = _wrap_input(lambda: ParamVector(alphas, args.order))
     array = _wrap_input(lambda: build(v))
@@ -457,7 +504,7 @@ def _cmd_magic(args: argparse.Namespace) -> int:
     matrix = _wrap_input(lambda: ParamMatrix(vectors))
     dimension = matrix.dimension
     _check_order_cap(dimension, args.order, args.force)
-    # d digit arrays, the superposition and its temporary, the composed grid and the document's copy
+    # d digit arrays, and the superposition's running code, its temporary and the composed grid
     _check_memory(dimension, args.order, dimension + 3, args.order**dimension)
     perms = _parse_perms(args.perms, dimension, args.order) if args.perms else None
     try:
@@ -511,9 +558,12 @@ def _emit(doc: ArrayDocument, fmt: str, one_based: bool, output: str | None) -> 
 def _write(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {output}: {exc}") from None
 
 
 def _read_document(path: str) -> ArrayDocument:
@@ -523,7 +573,7 @@ def _read_document(path: str) -> ArrayDocument:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {path}: {exc}") from None
     return document_from_json(text)
 
@@ -641,10 +691,14 @@ def _check_memory(dimension: int, order: int, arrays: int, top: int = 0) -> None
     encoder's buffer and the string it yields.
     """
     text = 2 * (len(str(top)) + 2) if top else 0
-    need = order**dimension * (8 * arrays + text)
+    _charge(f"order {order} at dimension {dimension}", order**dimension * (8 * arrays + text))
+
+
+def _charge(what: str, need: int) -> None:
+    """Refuse a run that needs more than MEMORY_BUDGET bytes."""
     if need > MEMORY_BUDGET:
         raise InputError(
-            f"order {order} at dimension {dimension} needs about {need >> 20} MiB,"
+            f"{what} needs about {need >> 20} MiB,"
             f" above the memory budget of {MEMORY_BUDGET >> 20} MiB"
         )
 

@@ -13,6 +13,7 @@ the view's n x n grid through that map.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -27,17 +28,29 @@ MAX_ORDER = 101
 AXIS_NAMES = "ijkl"
 
 
+# grids this module froze itself, by id; an entry dies with its grid, so an id
+# found here names the very array that was frozen
+_OWN_GRIDS: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
+
 def value_grid(values: np.ndarray, kind: str = "latin") -> np.ndarray:
     """values as a read-only C-ordered int64 grid, after checking its shape and range.
 
     The grid must have 2, 3 or 4 axes of one length n in [2, MAX_ORDER].
     Entries must lie in [0, n-1] for kind "latin" and in [0, n**d - 1]
     for kind "magic".
+
+    A grid that pandiag froze itself, or a C-ordered int64 view of one, is
+    checked and returned as it is.  Any other array, read-only or not, is
+    copied first, so that its owner cannot change the grid afterwards.
     """
-    try:
-        vals = np.array(values, dtype=np.int64, order="C")
-    except OverflowError:
-        raise ValueError("values must fit in 64-bit integers") from None
+    if _is_own(values):
+        vals = values
+    else:
+        try:
+            vals = _own_grid(np.array(values, dtype=np.int64, order="C"))
+        except OverflowError:
+            raise ValueError("values must fit in 64-bit integers") from None
     if vals.ndim not in DIMENSIONS:
         raise ValueError(f"array must have 2, 3 or 4 axes, got {vals.ndim}")
     n = vals.shape[0]
@@ -48,8 +61,32 @@ def value_grid(values: np.ndarray, kind: str = "latin") -> np.ndarray:
     top = n - 1 if kind == "latin" else n**vals.ndim - 1
     if vals.size and (vals.min() < 0 or vals.max() > top):
         raise ValueError(f"values must lie in [0, {top}]")
-    vals.flags.writeable = False
     return vals
+
+
+def _own_grid(fresh: np.ndarray) -> np.ndarray:
+    """fresh, an array that nothing else refers to, frozen in place and marked as pandiag's own.
+
+    value_grid then takes it without a copy.  Callers hand over only
+    arrays they have just made: a build's accumulator, an index or
+    arithmetic result, a parsed document.
+    """
+    fresh.flags.writeable = False
+    _OWN_GRIDS[id(fresh)] = fresh
+    return fresh
+
+
+def _is_own(values: object) -> bool:
+    """True for a C-ordered int64 grid _own_grid froze, or a view of one, while it stays frozen."""
+    if not isinstance(values, np.ndarray):
+        return False
+    owner = values if values.base is None else values.base
+    return (
+        _OWN_GRIDS.get(id(owner)) is owner
+        and not owner.flags.writeable
+        and values.dtype == np.int64
+        and values.flags.c_contiguous
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +152,7 @@ def build(v: ParamVector) -> LatinArray:
         acc += a * np.arange(n, dtype=np.int64).reshape(axis_shape)
         axis_shape[axis] = 1
     acc %= n
-    return LatinArray(acc, v)
+    return LatinArray(_own_grid(acc), v)
 
 
 def slice_view(a: LatinArray, spec: SliceSpec) -> np.ndarray:
@@ -128,7 +165,7 @@ def slice_view(a: LatinArray, spec: SliceSpec) -> np.ndarray:
 
 
 def slice_values(values: np.ndarray, spec: SliceSpec) -> np.ndarray:
-    """slice_view on a bare value grid (shape (n,) * d)."""
+    """slice_view on a bare value grid (shape (n,) * d), as a new read-only grid."""
     n, d = values.shape[0], values.ndim
     free = (spec.row_axis, spec.col_axis)
     if spec.row_axis == spec.col_axis:
@@ -157,7 +194,7 @@ def slice_values(values: np.ndarray, spec: SliceSpec) -> np.ndarray:
             if not 0 <= int(binding) < n:
                 raise ValueError(f"fixed coordinate {binding} outside [0, {n - 1}]")
             origin += int(binding) * strides[axis]
-    return gather(values, origin, *steps)
+    return _own_grid(gather(values, origin, *steps))
 
 
 def gather(values: np.ndarray, origin: int, row_step: int, col_step: int) -> np.ndarray:
@@ -180,11 +217,11 @@ def permute_symbols(a: LatinArray, perm: Sequence[int]) -> LatinArray:
     table = np.asarray(perm, dtype=np.int64)
     if table.shape != (n,) or not np.array_equal(np.sort(table), np.arange(n)):
         raise ValueError(f"perm must be a bijection on 0..{n - 1}")
-    return LatinArray(table[a.values])
+    return LatinArray(_own_grid(table[a.values]))
 
 
 def shift_axis(a: LatinArray, axis: int, amount: int) -> LatinArray:
     """Cyclically advance one coordinate: new[.., x, ..] = old[.., x+amount mod n, ..]."""
     if not 0 <= axis < a.dimension:
         raise ValueError(f"axis {axis} outside [0, {a.dimension - 1}]")
-    return LatinArray(np.roll(a.values, -amount, axis=axis))
+    return LatinArray(_own_grid(np.roll(a.values, -amount, axis=axis)))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import LatinArray, build, permute_symbols, value_grid
+from .lattice import LatinArray, _own_grid, build, permute_symbols, value_grid
 from .modarith import gcd
 from .orthogonal import ParamMatrix, determinant, superpose, unit_determinant_masks
 from .params import DIMENSIONS, ParamVector, _feasible_blocks, check
@@ -70,14 +70,14 @@ def compose(arrays: Sequence[LatinArray]) -> MagicArray:
     No orthogonality or latin-ness is required here; degenerate input
     simply produces an array that fails verification.
     """
-    return MagicArray(superpose(arrays))
+    return MagicArray(_own_grid(superpose(arrays)))
 
 
 def decompose(m: MagicArray) -> list[LatinArray]:
     """Recover the d base-n digit arrays, most significant first."""
     n, d = m.order, m.dimension
     return [
-        LatinArray((m.values // n ** (d - 1 - q)) % n) for q in range(d)
+        LatinArray(_own_grid((m.values // n ** (d - 1 - q)) % n)) for q in range(d)
     ]
 
 

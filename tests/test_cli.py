@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -226,6 +227,62 @@ def test_force_cannot_exceed_hard_cap(capsys):
     )
     assert code == 2
     assert "hard cap" in err
+
+
+def test_generate_holds_one_grid(monkeypatch):
+    built, emitted, written = [], [], []
+    monkeypatch.setattr(cli, "build", lambda v: built.append(build(v)) or built[-1])
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda doc, *rest: emitted.append(doc) or emit(doc, *rest))
+    monkeypatch.setattr(cli.sys, "stdout", type("Sink", (), {"write": lambda self, text: written.append(len(text))})())
+    tracemalloc.start()
+    try:
+        assert cli.run(["generate", "--order", "17", "--params", "1,2,4,8"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert emitted[0].values is built[0].values
+    # the encoder holds two copies of the text at once, so a second grid would pass this
+    assert peak < 2 * built[0].values.nbytes + written[0]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a value was parsed")
+
+
+@pytest.mark.parametrize("command", [["verify"], ["slice", "--spec", "k=0"]])
+@pytest.mark.parametrize("fast", [True, False], ids=["fast path", "json.loads path"])
+def test_verify_and_slice_charge_a_document_before_parsing_it(capsys, monkeypatch, command, fast):
+    _, doc, _ = run_cli(capsys, ["generate", "--order", "11", "--params", "1,2,7"])
+    if fast:
+        need = 2 * len(doc) + 8 * 11**3
+    else:  # a space after the key sends the text to json.loads whole
+        doc = doc.replace('"values":[', '"values": [')
+        need = 2 * len(doc) + 48 * (doc.count(",") + 1)
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", need)
+    code, out, err = run_cli(capsys, command, stdin=doc)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", need - 1)
+    monkeypatch.setattr(cli, "_plain_ints", _refuse)
+    monkeypatch.setattr(cli.json, "loads", _refuse)
+    code, out, err = run_cli(capsys, command, stdin=doc)
+    assert (code, out) == (2, "")
+    assert err == f"error: the document needs about {need >> 20} MiB, above the memory budget of 0 MiB\n"
+
+
+def test_verify_unreadable_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"dimension":2,"order":2,"values":[0,1,1,\xff]}')
+    code, out, err = run_cli(capsys, ["verify", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
+def test_output_into_a_missing_directory_exit_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, ["generate", "--order", "5", "--params", "1,2", "--output", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
 
 
 # verify

@@ -6,6 +6,7 @@ path of document_from_json with its fast path switched off.
 """
 
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -192,6 +193,26 @@ def mutate(data, text):
 @example('{"dimension":2,"order":2,"values":[0,1,1,0]}', None)
 def test_fast_reader_agrees_with_json_loads(text, data):
     assert_paths_agree(mutate(data, text) if data is not None else text)
+
+
+@SETTINGS
+@given(documents(), st.data(), st.integers(1, 6))
+def test_fast_reader_agrees_with_json_loads_in_small_blocks(text, data, block):
+    # blocks of a few characters put a block edge at every place in the values list
+    with mock.patch.object(cli, "_READ_BLOCK", block):
+        assert_paths_agree(mutate(data, text))
+
+
+def test_reader_holds_the_values_once():
+    family = [ParamVector(alphas, 101) for alphas in ((1, 2, 4), (1, 2, 5), (1, 3, 5))]
+    text = cli.document_to_json(cli.ArrayDocument(3, 101, compose_checked(family).values, "magic"))
+    tracemalloc.start()
+    try:
+        doc = cli.document_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= doc.values.nbytes + (2 << 20)
 
 
 @pytest.mark.parametrize(

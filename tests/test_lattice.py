@@ -12,7 +12,7 @@ from fixtures import (
     PANDIAGONAL_5A,
     PANDIAGONAL_5B,
 )
-from pandiag.cli import ArrayDocument, InputError
+from pandiag.cli import ArrayDocument, InputError, document_from_json, document_to_json
 from pandiag.lattice import (
     LatinArray,
     SliceSpec,
@@ -23,7 +23,7 @@ from pandiag.lattice import (
     slice_values,
     slice_view,
 )
-from pandiag.magic import MagicArray
+from pandiag.magic import MagicArray, compose_checked, decompose
 from pandiag.params import ParamVector, scale
 
 
@@ -57,6 +57,55 @@ def test_values_are_read_only():
     a = build(ParamVector((1, 2), 5))
     with pytest.raises(ValueError):
         a.values[0, 0] = 3
+
+
+def handed_over(how):
+    """PANDIAGONAL_5A in a caller's array of the given kind, and how the caller then overwrites it."""
+    grid = np.array(PANDIAGONAL_5A, dtype=np.int64)
+    if how == "frozen view":  # of a buffer the caller keeps writing to
+        buf = bytearray(grid.tobytes())
+        view = np.frombuffer(buf, dtype=np.int64).reshape(grid.shape)
+        view.flags.writeable = False
+        return view, lambda: buf.__setitem__(slice(None), bytes(len(buf)))
+    if how == "frozen":
+        grid.flags.writeable = False
+    elif how == "thawed pandiag grid":
+        grid = LatinArray(grid).values
+        grid.flags.writeable = True
+
+    def overwrite():
+        grid.flags.writeable = True
+        grid.fill(0)
+
+    return grid, overwrite
+
+
+@pytest.mark.parametrize("how", ["writable", "frozen", "frozen view", "thawed pandiag grid"])
+@pytest.mark.parametrize(
+    "hold",
+    [LatinArray, MagicArray, lambda grid: ArrayDocument(2, 5, grid, "latin")],
+    ids=["latin", "magic", "document"],
+)
+def test_a_caller_cannot_change_a_held_grid(hold, how):
+    grid, overwrite = handed_over(how)
+    held = hold(grid)
+    overwrite()
+    assert not grid.any()
+    assert held.values.tolist() == PANDIAGONAL_5A
+
+
+def test_grids_pandiag_made_are_held_once():
+    a = build(ParamVector((1, 2, 7), 11))
+    for hold in (LatinArray, MagicArray, lambda g: ArrayDocument(3, 11, g, "latin")):
+        assert hold(a.values).values is a.values
+    m = compose_checked([ParamVector((1, 2), 5), ParamVector((1, 3), 5)])
+    assert ArrayDocument(2, 5, m.values, "magic").values is m.values
+    for made in (permute_symbols(a, list(range(10, -1, -1))), shift_axis(a, 1, 3), *decompose(m)):
+        assert LatinArray(made.values).values is made.values
+    plane = slice_values(a.values, SliceSpec(0, 1, {2: 4}))
+    assert ArrayDocument(2, 11, plane, "latin").values is plane
+    doc = document_from_json(document_to_json(ArrayDocument(3, 11, a.values, "latin")))
+    assert LatinArray(doc.values).values is doc.values
 
 
 def test_slice_identity_for_square():
