@@ -41,15 +41,44 @@ and whether it is a main diagonal of some square, and every cell set
 occurs in the cover, so the grade ladder reads the same.  lines_checked
 counts the canonical scan's lines.
 
+The cover follows from a rule free of n.  A square's shape is its face
+kind at each level (a fixed axis, whatever its value, or which tie): 1, 9
+and 144 shapes at d=2, 3 and 4, each with one pair of steps.  Rows run
+along col_step, columns along row_step and diagonals along row_step +-
+col_step; above order 2 a line's cells fix that direction u up to sign.
+Each pair of axes a<b in the support of one step s gives the shape a
+relation, x_b = x_a if s_a*s_b = 1 and x_b = n-1 - x_a if not, and a
+square is exactly the cells meeting its shape's relations and fixed
+values.  So each line of a family of shape X is a line of a square of any
+shape Y that has a family of direction u and relations among X's.  When
+Y appears before X, that square comes first too (shapes appear in the
+order of their face kinds, level by level, and two squares holding one
+line with the same fixed-axis top face lie in one cube), and the family
+is dropped.  The cover keeps the rest; the tests check them against
+brute-force first occurrences and the counts 4, 9n+12 and 16n^2+48n+56
+at d=2, 3 and 4.
+
+Every line of a row or column family is a row or column, and line 0 of a
+diagonal family is a main diagonal; meeting every relation over u's
+support, it is also a row or column of a square with steps u and e_x
+when its square fixes axis x.  The tests check that no other cover line
+is one against brute-force sets.
+
+At order 2, -1 = +1: a cell set no longer fixes its direction's signs,
+and lines of different directions coincide, even two kinds of one square.
+There the cover keeps every family, 960 at d=4, with each line's flags
+those of its kind: the canonical scan itself.
+
 A family's step class is its line kind with its square's (row_step,
 col_step).  The class alone fixes where the family's cells lie relative
-to the square's origin, and there are at most 4, 21 and 120 classes at
-d=2, 3 and 4, so the cover keeps one int32 table of those offsets per
-class and a chunk's cells are its families' class tables plus their
-origins.  A magic line is tested by its sum.  A latin line of order
-n <= 63 is tested by its bit set: the values lie in [0, n-1], so
-OR(1 << v) over the line's n cells is 2**n - 1, which fits an int64,
-exactly when its n values are distinct.  Larger orders sort each line.
+to the square's origin.  The classes are read off the kept shapes, 4, 21
+and 120 of them at d=2, 3 and 4 above order 2, so the cover keeps one
+int32 table of those offsets per class and a chunk's cells are its
+families' class tables plus their origins.  A magic line is tested by its
+sum.  A latin line of order n <= 63 is tested by its bit set: the values
+lie in [0, n-1], so OR(1 << v) over the line's n cells is 2**n - 1, which
+fits an int64, exactly when its n values are distinct.  Larger orders
+sort each line.
 """
 
 from __future__ import annotations
@@ -64,7 +93,7 @@ import numpy as np
 
 from .lattice import AXIS_NAMES, LatinArray, gather
 from .magic import MagicArray, sigma
-from .params import DIMENSIONS, DIRECTIONS
+from .params import DIMENSIONS
 
 LINE_KINDS = ("row", "column", "diagonal-plus", "diagonal-minus")
 
@@ -236,8 +265,9 @@ def _scan(
         del lines
         if not bad.size:
             continue
-        rows_cols_ok &= not cover.row_col[chunk].ravel()[bad].any()
-        main_diags_ok &= not cover.main_diag[chunk].ravel()[bad].any()
+        line = cover.classes[chunk][bad // n], bad % n
+        rows_cols_ok &= not cover.row_col[line].any()
+        main_diags_ok &= not cover.main_diag[line].any()
         if failure_at is None:
             family, k = divmod(base * n + int(bad[0]), n)
             failure_at = (int(cover.squares[family]), int(cover.kinds[family]) * n + k)
@@ -311,9 +341,10 @@ class _Cover:
     A family is the n lines of one kind in one square.  Family f is kind
     kinds[f] of square squares[f].  Its step class, classes[f], is its
     kind with its square's (row_step, col_step), and its line k holds the
-    cells origins[f] + offsets[classes[f], k].  row_col[f, k] and
-    main_diag[f, k] tell whether line k of the family is a row or column,
-    or a main diagonal, of some square.
+    cells origins[f] + offsets[classes[f], k].  row_col[c, k] and
+    main_diag[c, k] tell whether line k of a family of class c is a row
+    or column, or a main diagonal, of some square, by the flag rule of
+    the module docstring.
     """
 
     square_count: int
@@ -326,120 +357,87 @@ class _Cover:
     main_diag: np.ndarray
 
 
-_SEEN, _ROW_COL, _MAIN_DIAG = 1, 2, 4
-
-
 @lru_cache(maxsize=None)
 def _line_cover(dimension: int, order: int) -> _Cover:
     """The families holding the first canonical occurrence of some line.
 
-    One byte per line key records whether the key was seen, and whether it
-    is a row or column or a main diagonal anywhere.  Pass one walks the
-    squares in chunks and keeps each family that holds a new key; pass two
-    reads the flags of the kept families' lines.
+    A square's shape decides which of its kinds are kept: all four at order
+    2, else those _kept_kinds leaves.
     """
     n, d = order, dimension
     coords = _square_coords(d, n)
-    directions = _direction_index(d)
-    seen = np.zeros(len(DIRECTIONS[d]) * n ** (d - 1), dtype=np.uint8)
-    step = max(1, _CHUNK_CELLS // (4 * n))  # squares whose line keys fill one chunk
-    families = []
-    for base in range(0, len(coords), step):
-        square = np.arange(base, min(base + step, len(coords))).repeat(4)
-        kinds = np.tile(np.arange(4), len(square) // 4)
-        keys = _line_keys(n, directions, coords[square], kinds)
-        seen[keys[kinds < 2]] |= _ROW_COL
-        seen[keys[kinds >= 2, 0]] |= _MAIN_DIAG
-        keys = keys.ravel()
-        fresh = np.flatnonzero((seen[keys] & _SEEN) == 0)
-        # each fresh key's first position: sort (key, position) packed in an int64
-        pairs = np.sort(keys[fresh].astype(np.int64) << 32 | fresh)
-        first = np.ones(len(pairs), dtype=bool)
-        first[1:] = pairs[1:] >> 32 != pairs[:-1] >> 32
-        new = pairs[first] & 0xFFFFFFFF
-        seen[keys[new]] |= _SEEN
-        holds = np.zeros(len(kinds), dtype=bool)
-        holds[new // n] = True
-        families.append(4 * base + np.flatnonzero(holds))
-    square, kinds = np.divmod(np.concatenate(families).astype(np.int32), 4)
-    chunks = [slice(b, b + 4 * step) for b in range(0, len(square), 4 * step)]
-    flags = np.concatenate(
-        [seen[_line_keys(n, directions, coords[square[c]], kinds[c])] for c in chunks]
-    )
+    # (row signs, column signs) of each shape: at order 1 each face kind has one face
+    steps = _square_coords(d, 1)[:, 1:]
+    kept = _kept_kinds(steps) if n > 2 else np.ones((len(steps), 4), dtype=bool)
+    shapes = _square_shapes(d, n)
+    square, kinds = np.divmod(np.flatnonzero(kept[shapes]).astype(np.int32), 4)
+    # the step class of each kept (shape, kind), numbered as its (kind, row_step, col_step) sorts
+    shape, kind = np.nonzero(kept)
     strides = n ** np.arange(d - 1, -1, -1)
-    maps = (coords[square] @ strides).astype(np.int32)  # origin, row_step, col_step
-    step_classes, classes = np.unique(
-        np.column_stack([kinds, maps[:, 1:]]), axis=0, return_inverse=True
+    row_step, col_step = (steps[shape] @ strides).T
+    step_classes, class_of = np.unique(
+        np.column_stack([kind, row_step, col_step]).astype(np.int32), axis=0, return_inverse=True
     )
+    class_of = class_of.reshape(-1)
+    by_shape = np.zeros(kept.shape, dtype=np.int16)
+    by_shape[shape, kind] = class_of
+    # a diagonal's line 0 is a main diagonal, and above order 2 also a row
+    # or column where its square fixes an axis
+    fixes_axis = np.zeros(len(step_classes), dtype=bool)
+    fixes_axis[class_of] = (steps[shape] == 0).all(axis=1).any(axis=1) & (n > 2)
     kind, row_step, col_step = step_classes.T
+    main_diag = (kind >= 2)[:, None] & (np.arange(n) == 0)
+    row_col = (kind < 2)[:, None] | main_diag & fixes_axis[:, None]
     rows, cols = _line_table(n).reshape(2, 4, n, n)
     cover = _Cover(
         square_count=len(coords),
         squares=square,
         kinds=kinds,
-        classes=classes.reshape(-1).astype(np.int16),
-        origins=maps[:, 0].copy(),
+        classes=by_shape[shapes[square], kinds],
+        origins=(coords[square, 0] @ strides).astype(np.int32),
         offsets=rows[kind] * row_step[:, None, None] + cols[kind] * col_step[:, None, None],
-        row_col=(flags & _ROW_COL) != 0,
-        main_diag=(flags & _MAIN_DIAG) != 0,
+        row_col=row_col,
+        main_diag=main_diag,
     )
-    arrays = (cover.squares, cover.kinds, cover.classes, cover.origins, cover.offsets)
-    for field in (*arrays, cover.row_col, cover.main_diag):
-        field.flags.writeable = False
+    for field in vars(cover).values():
+        if isinstance(field, np.ndarray):
+            field.flags.writeable = False
     return cover
 
 
-def _line_keys(
-    n: int, directions: np.ndarray, squares: np.ndarray, kinds: np.ndarray
-) -> np.ndarray:
-    """Key of each line of each family, shape (F, n).
+def _kept_kinds(steps: np.ndarray) -> np.ndarray:
+    """Whether the cover keeps each line kind of each shape above order 2, shape (X, 4).
 
-    squares holds the (origin, row signs, column signs) of each family's
-    square, kinds its line kind.  Line k of a family is the torus orbit of
-    a direction u through a base cell b + k*w.  The key names u, made to
-    start with +1 (at n=2, where -1 = +1, its support), and the base cell
-    moved along u to a zero in u's first nonzero coordinate f, with
-    coordinate f dropped.  Equal keys are equal cell sets.
+    steps holds the (row signs, column signs) of each shape, in order of
+    first appearance.  A kind is dropped when an earlier shape has a
+    family of the same direction whose relations are among this one's.
     """
-    o, sr, sc = squares.transpose(1, 0, 2)
-    fam = np.arange(len(kinds))
-    u = np.stack([sc, sr, sr + sc, sr - sc])[kinds, fam]
-    w = np.where((kinds == 0)[:, None], sr, sc)
-    b = o + np.where((kinds == 3)[:, None], (n - 1) * sc, 0)
-    f = (u != 0).argmax(axis=1)
-    u *= u[fam, f][:, None]
-    if n == 2:
-        u = np.abs(u)
-    # base k moved along u: b + k*w - (b + k*w)[f]*u, whose steps lie in -2..2
-    b -= b[fam, f][:, None] * u
-    b %= n
-    w -= w[fam, f][:, None] * u
-    d = u.shape[1]
-    powers = n ** np.arange(d - 1, -1, -1)
-    weights = np.where(np.arange(d) < f[:, None], powers // n, powers).astype(np.int32)
-    # orbit[c, s + 2, k] is coordinate c after k steps of s, mod n
-    k = np.arange(n)
-    orbit = ((k[:, None, None] + np.arange(-2, 3)[:, None] * k) % n).astype(np.int32)
-    keys = (directions[_direction_code(u)] * n ** (d - 1))[:, None]
-    for x in range(d):
-        keys = keys + orbit[b[:, x], w[:, x] + 2] * weights[:, x, None]
-    return keys
+    sr, sc = steps[:, 0], steps[:, 1]
+    d = steps.shape[-1]
+    u = np.stack([sc, sr, sr + sc, sr - sc], axis=1).reshape(-1, d)
+    # the sign s_a*s_b of each pair a<b inside one step's support, else 0
+    a, b = np.triu_indices(d, 1)
+    relations = (sr[:, a] * sr[:, b] + sc[:, a] * sc[:, b]).repeat(4, axis=0)
+    # each family f with each earlier family g of its direction: u and -u read
+    # in balanced ternary are c and -c
+    direction = np.abs(u @ 3 ** np.arange(d))
+    f, g = np.nonzero((direction[:, None] == direction) & np.tri(len(u), k=-1, dtype=bool))
+    among = ((relations[g] == 0) | (relations[g] == relations[f])).all(axis=1)
+    kept = np.ones(len(u), dtype=bool)
+    kept[f[among]] = False
+    return kept.reshape(-1, 4)
 
 
-def _direction_code(u: np.ndarray) -> np.ndarray:
-    """Base-3 code of sign vectors in {0,+-1}^d, one per row."""
-    return (u % 3) @ (3 ** np.arange(u.shape[-1] - 1, -1, -1))
+def _square_shapes(dimension: int, order: int) -> np.ndarray:
+    """Each square's shape, its face kind at every level, as a row of _square_coords(d, 1).
 
-
-@lru_cache(maxsize=None)
-def _direction_index(dimension: int) -> np.ndarray:
-    """Row of each line direction in params.DIRECTIONS, indexed by its base-3 code."""
-    units = np.array([u for _, u in DIRECTIONS[dimension]])
-    units *= units[np.arange(len(units)), (units != 0).argmax(axis=1)][:, None]
-    index = np.zeros(3**dimension, dtype=np.int32)
-    index[_direction_code(units)] = np.arange(len(units))
-    index.flags.writeable = False
-    return index
+    A k-box has k*k face kinds: n faces fix each axis, then one per tie.
+    """
+    shape = np.zeros(1, dtype=np.int64)
+    for k in range(dimension, 2, -1):
+        kinds = np.repeat(np.arange(k * k), [order] * k + [1] * (k * k - k))
+        shape = (shape[:, None] * k * k + kinds).ravel()
+    return shape
 
 
 def _square_coords(dimension: int, order: int) -> np.ndarray:

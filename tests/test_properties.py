@@ -42,8 +42,8 @@ CENSUS_CAP_ERROR_MEMORY_BUDGET = 2**20
 VERIFY_FIRST_MEMORY_BUDGET = 12 * 2**20
 VERIFY_REPEAT_MEMORY_BUDGET = 2 * 2**20
 # the d=4 n=41 line cover: what the cache keeps, and its build's peak
-COVER_HELD_BUDGET = 4 * 2**20
-COVER_BUILD_BUDGET = 16 * 2**20
+COVER_HELD_BUDGET = 2 * 2**20
+COVER_BUILD_BUDGET = 8 * 2**20
 
 
 def directions(d):
@@ -335,7 +335,7 @@ def swap_cells(values, rng):
     return out
 
 
-VERIFY_POINTS = [(2, 5), (2, 7), (2, 8), (3, 4), (3, 7), (3, 11), (4, 3), (4, 5), (4, 17)]
+VERIFY_POINTS = [(2, 5), (2, 7), (2, 8), (3, 4), (3, 6), (3, 7), (3, 11), (4, 3), (4, 5), (4, 6), (4, 17)]
 VARIANTS = ["built", "swapped", "relabelled", "shifted", "random"]
 
 
@@ -358,6 +358,7 @@ VARIANTS = ["built", "swapped", "relabelled", "shifted", "random"]
 @example((3, 3), "swapped", "latin", 1)
 @example((2, 2), "built", "latin", 0)
 @example((4, 2), "shifted", "latin", 0)
+@example((3, 2), "random", "magic", 0)
 def test_verifier_equals_reference_scan(point, variant, kind, seed):
     d, n = point
     rng = np.random.default_rng(seed)
@@ -378,7 +379,7 @@ def test_verifier_equals_reference_scan(point, variant, kind, seed):
 
 
 def test_verifier_equals_reference_scan_across_chunks(monkeypatch):
-    """One square per cover-build chunk and one family per scan chunk."""
+    """One family per scan chunk."""
     monkeypatch.setattr(verify, "_CHUNK_CELLS", 1)
     clear_verify_caches()
     try:
@@ -441,8 +442,7 @@ def test_bit_set_line_test_equals_sorting(n, count, seed):
 
 
 def clear_verify_caches():
-    caches = (enumerate_squares, verify._line_cover, verify._line_table, verify._direction_index)
-    for cache in caches:
+    for cache in (enumerate_squares, verify._line_cover, verify._line_table):
         cache.cache_clear()
 
 

@@ -351,7 +351,7 @@ def test_square_coords_are_the_square_views(d, n):
 
 def test_failing_scan_builds_no_square_table():
     a = build(ParamVector((1, 2, 4, 10), 17))
-    for cache in (enumerate_squares, _line_cover, verify._line_table, verify._direction_index):
+    for cache in (enumerate_squares, _line_cover, verify._line_table):
         cache.cache_clear()
     report = verify_latin_pandiagonal(a)
     assert report.first_failure.line.square_id == "cube(i=j)/ij=k"
@@ -365,7 +365,9 @@ def test_failing_scan_builds_no_square_table():
 
 
 @pytest.mark.parametrize(
-    "d, n", [(2, 5), (3, 2), (3, 3), (3, 4), (3, 7), (4, 3), (4, 5), (4, 7)]
+    "d, n",
+    [(2, 2), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (3, 6), (3, 7)]
+    + [(4, 3), (4, 4), (4, 5), (4, 6), (4, 7)],
 )
 def test_line_cover_is_exact(d, n):
     squares = enumerate_squares(d, n)
@@ -382,6 +384,9 @@ def test_line_cover_is_exact(d, n):
                 seen.add(cells)
                 if not families or families[-1] != (s, pos // n):
                     families.append((s, pos // n))
+    if n == 2:
+        # +1 = -1: the cover is every family, and a line's flags are those of its own kind
+        families = [(s, kind) for s in range(len(squares)) for kind in range(4)]
     cover = _line_cover(d, n)
     # the families holding a first occurrence, in canonical order
     assert list(zip(cover.squares.tolist(), cover.kinds.tolist())) == families
@@ -390,8 +395,12 @@ def test_line_cover_is_exact(d, n):
         for k, line in enumerate(lines[s][kind * n : (kind + 1) * n]):
             cells = frozenset(line.cells)
             covered.add(cells)
-            assert cover.row_col[f, k] == (cells in row_col), (s, kind, k)
-            assert cover.main_diag[f, k] == (cells in main_diag), (s, kind, k)
+            if n == 2:
+                expected = (kind < 2, kind >= 2 and k == 0)
+            else:
+                expected = (cells in row_col, cells in main_diag)
+            flags = cover.row_col[cover.classes[f], k], cover.main_diag[cover.classes[f], k]
+            assert flags == expected, (s, kind, k)
     assert covered == seen
 
 
@@ -411,6 +420,18 @@ def distinct_lines(d, n):
 def test_line_cover_counts(d, n, distinct, tested):
     assert distinct_lines(d, n) == distinct
     assert len(_line_cover(d, n).kinds) * n == tested
+
+
+def test_line_cover_closed_form_counts():
+    # built uncached: the d=4 covers up to order 45 would otherwise stay in memory
+    build_cover = _line_cover.__wrapped__
+    for n in range(3, 65):
+        assert len(build_cover(2, n).kinds) == 4, n
+        assert len(build_cover(3, n).kinds) == 9 * n + 12, n
+    for n in range(3, 46):
+        assert len(build_cover(4, n).kinds) == 16 * n**2 + 48 * n + 56, n
+    for d in (2, 3, 4):
+        assert len(build_cover(d, 2).kinds) == 4 * len(enumerate_squares(d, 2)), d
 
 
 # The step-class offset tables against SquareView's flat map.
