@@ -113,11 +113,8 @@ def compose_checked(
         if len(perms) != d:
             raise ValueError(f"need exactly {d} symbol permutations, got {len(perms)}")
         perm_tuples = tuple(tuple(int(x) for x in p) for p in perms)
-    digits = []
-    for v, p in zip(vectors, perm_tuples):
-        digits.append(permute_symbols(build(v), p))
-    out = compose(digits)
-    return MagicArray(out.values, params=vectors, perms=perm_tuples)
+    digits = [permute_symbols(build(v), p) for v, p in zip(vectors, perm_tuples)]
+    return MagicArray(_own_grid(superpose(digits)), params=vectors, perms=perm_tuples)
 
 
 def count_orthogonal_families(dimension: int, order: int) -> int:

@@ -69,16 +69,19 @@ and lines of different directions coincide, even two kinds of one square.
 There the cover keeps every family, 960 at d=4, with each line's flags
 those of its kind: the canonical scan itself.
 
-A family's step class is its line kind with its square's (row_step,
-col_step).  The class alone fixes where the family's cells lie relative
-to the square's origin.  The classes are read off the kept shapes, 4, 21
-and 120 of them at d=2, 3 and 4 above order 2, so the cover keeps one
-int32 table of those offsets per class and a chunk's cells are its
-families' class tables plus their origins.  A magic line is tested by its
-sum.  A latin line of order n <= 63 is tested by its bit set: the values
-lie in [0, n-1], so OR(1 << v) over the line's n cells is 2**n - 1, which
-fits an int64, exactly when its n values are distinct.  Larger orders
-sort each line.
+A family's step class is its kept (shape, kind), which fixes the kind and
+the square's (row_step, col_step), so where its cells lie relative to the
+square's origin.  Above order 2 no two classes share a kind and steps: two
+kept (shape, kind) with one kind and one pair of row and column signs have
+one direction and one set of relations, so the rule drops the later one.
+That gives 4, 21 and 120 classes at d=2, 3 and 4; at order 2 every family
+is kept, four classes per shape: 4, 36 and 576.  The cover keeps one int32
+offset table per class, and a chunk's cells are its families' class
+tables plus their origins.  A magic line is tested by its sum.  A latin
+line of order n <= 63 is tested by its bit set: the values lie in [0,
+n-1], so OR(1 << v) over the line's n cells is 2**n - 1, which fits an
+int64, exactly when its n values are distinct.  Larger orders sort each
+line.
 """
 
 from __future__ import annotations
@@ -339,9 +342,11 @@ class _Cover:
     """The families of lines the scan tests, in canonical order.
 
     A family is the n lines of one kind in one square.  Family f is kind
-    kinds[f] of square squares[f].  Its step class, classes[f], is its
-    kind with its square's (row_step, col_step), and its line k holds the
-    cells origins[f] + offsets[classes[f], k].  row_col[c, k] and
+    kinds[f] of square squares[f].  Its step class, classes[f], numbers
+    its square's shape with its kind among the kept (shape, kind), and its
+    line k holds the cells origins[f] + offsets[classes[f], k].  Above
+    order 2 no other class has its kind and steps (module docstring); at
+    order 2 there are four per shape.  row_col[c, k] and
     main_diag[c, k] tell whether line k of a family of class c is a row
     or column, or a main diagonal, of some square, by the flag rule of
     the module docstring.
@@ -362,39 +367,32 @@ def _line_cover(dimension: int, order: int) -> _Cover:
     """The families holding the first canonical occurrence of some line.
 
     A square's shape decides which of its kinds are kept: all four at order
-    2, else those _kept_kinds leaves.
+    2, else those _kept_kinds leaves.  Each kept (shape, kind) is a step
+    class, numbered in (shape, kind) order.
     """
     n, d = order, dimension
-    coords = _square_coords(d, n)
-    # (row signs, column signs) of each shape: at order 1 each face kind has one face
-    steps = _square_coords(d, 1)[:, 1:]
-    kept = _kept_kinds(steps) if n > 2 else np.ones((len(steps), 4), dtype=bool)
-    shapes = _square_shapes(d, n)
+    origins, _, _, shapes = _square_coords(d, n)
+    # the row and column signs of each shape: at order 1 each face kind has one face
+    _, row_signs, col_signs, _ = _square_coords(d, 1)
+    kept = _kept_kinds(row_signs, col_signs) if n > 2 else np.ones((len(row_signs), 4), dtype=bool)
     square, kinds = np.divmod(np.flatnonzero(kept[shapes]).astype(np.int32), 4)
-    # the step class of each kept (shape, kind), numbered as its (kind, row_step, col_step) sorts
+    class_of = (np.cumsum(kept) - 1).astype(np.int16).reshape(kept.shape)
     shape, kind = np.nonzero(kept)
     strides = n ** np.arange(d - 1, -1, -1)
-    row_step, col_step = (steps[shape] @ strides).T
-    step_classes, class_of = np.unique(
-        np.column_stack([kind, row_step, col_step]).astype(np.int32), axis=0, return_inverse=True
-    )
-    class_of = class_of.reshape(-1)
-    by_shape = np.zeros(kept.shape, dtype=np.int16)
-    by_shape[shape, kind] = class_of
+    row_step = (row_signs[shape] @ strides).astype(np.int32)
+    col_step = (col_signs[shape] @ strides).astype(np.int32)
     # a diagonal's line 0 is a main diagonal, and above order 2 also a row
     # or column where its square fixes an axis
-    fixes_axis = np.zeros(len(step_classes), dtype=bool)
-    fixes_axis[class_of] = (steps[shape] == 0).all(axis=1).any(axis=1) & (n > 2)
-    kind, row_step, col_step = step_classes.T
+    fixes_axis = ((row_signs[shape] == 0) & (col_signs[shape] == 0)).any(axis=1) & (n > 2)
     main_diag = (kind >= 2)[:, None] & (np.arange(n) == 0)
     row_col = (kind < 2)[:, None] | main_diag & fixes_axis[:, None]
     rows, cols = _line_table(n).reshape(2, 4, n, n)
     cover = _Cover(
-        square_count=len(coords),
+        square_count=len(shapes),
         squares=square,
         kinds=kinds,
-        classes=by_shape[shapes[square], kinds],
-        origins=(coords[square, 0] @ strides).astype(np.int32),
+        classes=class_of[shapes[square], kinds],
+        origins=(origins[square] @ strides).astype(np.int32),
         offsets=rows[kind] * row_step[:, None, None] + cols[kind] * col_step[:, None, None],
         row_col=row_col,
         main_diag=main_diag,
@@ -405,15 +403,14 @@ def _line_cover(dimension: int, order: int) -> _Cover:
     return cover
 
 
-def _kept_kinds(steps: np.ndarray) -> np.ndarray:
+def _kept_kinds(sr: np.ndarray, sc: np.ndarray) -> np.ndarray:
     """Whether the cover keeps each line kind of each shape above order 2, shape (X, 4).
 
-    steps holds the (row signs, column signs) of each shape, in order of
-    first appearance.  A kind is dropped when an earlier shape has a
+    sr and sc are the (X, d) row and column signs of the shapes, in order
+    of first appearance.  A kind is dropped when an earlier shape has a
     family of the same direction whose relations are among this one's.
     """
-    sr, sc = steps[:, 0], steps[:, 1]
-    d = steps.shape[-1]
+    d = sr.shape[-1]
     u = np.stack([sc, sr, sr + sc, sr - sc], axis=1).reshape(-1, d)
     # the sign s_a*s_b of each pair a<b inside one step's support, else 0
     a, b = np.triu_indices(d, 1)
@@ -428,35 +425,31 @@ def _kept_kinds(steps: np.ndarray) -> np.ndarray:
     return kept.reshape(-1, 4)
 
 
-def _square_shapes(dimension: int, order: int) -> np.ndarray:
-    """Each square's shape, its face kind at every level, as a row of _square_coords(d, 1).
+def _square_coords(dimension: int, order: int) -> tuple[np.ndarray, ...]:
+    """Origin cell, row signs, column signs and shape of every square.
 
-    A k-box has k*k face kinds: n faces fix each axis, then one per tie.
-    """
-    shape = np.zeros(1, dtype=np.int64)
-    for k in range(dimension, 2, -1):
-        kinds = np.repeat(np.arange(k * k), [order] * k + [1] * (k * k - k))
-        shape = (shape[:, None] * k * k + kinds).ravel()
-    return shape
-
-
-def _square_coords(dimension: int, order: int) -> np.ndarray:
-    """Origin cell, row signs and column signs of every square, shape (S, 3, d).
-
-    _faces runs once per box level, on the origins and steps of every box
-    of the level as (boxes, d) arrays of coordinates and sign vectors; its
-    face-major output is stacked box-major.  A failing square is named by
-    its index instead, through _square_at, one face per level.
+    The first three are (S, d) arrays.  A shape is the square's face kind
+    at every level: a k-box has k*k face kinds, n faces fixing each axis
+    and then one per tie, so the shapes number the squares of
+    _square_coords(d, 1).  _faces runs once per box level, on the origins
+    and steps of every box of the level as (boxes, d) arrays of coordinates
+    and sign vectors; its face-major output is stacked box-major.  A
+    failing square is named by its index instead, through _square_at, one
+    face per level.
     """
     d = dimension
     # the whole array: origin 0, local axis x along global axis x
     maps = [np.zeros((1, d), dtype=np.int64), *np.eye(d, dtype=np.int64)[:, None]]
+    shapes = np.zeros(1, dtype=np.int64)
     for k in range(d, 2, -1):
         faces = _faces(order, AXIS_NAMES[:k], maps[0], tuple(maps[1:]))
         # (origin, *steps) of each face over every box, stacked so box b's faces stay together
         columns = zip(*((origin, *steps) for _, _, origin, steps in faces))
         maps = [np.stack(column, axis=1).reshape(-1, d) for column in columns]
-    return np.stack(maps, axis=1)
+        kinds = np.repeat(np.arange(k * k), [order] * k + [1] * (k * k - k))
+        shapes = (shapes[:, None] * k * k + kinds).ravel()
+    origins, row_signs, col_signs = maps
+    return origins, row_signs, col_signs, shapes
 
 
 def _square_at(dimension: int, order: int, index: int) -> SquareView:

@@ -111,17 +111,23 @@ def test_compose_checked_rejects_malformed_family():
 
 
 def test_compose_checked_applies_perms():
-    perms = [[4, 3, 2, 1, 0], [1, 2, 3, 4, 0]]
-    m = compose_checked(
-        [ParamVector((1, 2), 5), ParamVector((1, 3), 5)], perms
-    )
-    assert verify_magic_pandiagonal(m).passed
-    table0 = np.array(perms[0])
-    table1 = np.array(perms[1])
-    expected = 5 * table0[build(ParamVector((1, 2), 5)).values] + table1[
-        build(ParamVector((1, 3), 5)).values
+    # orthogonal families at d=2, 3 and 4
+    families = [
+        (5, ((1, 2), (1, 3))),
+        (11, ((1, 2, 4), (1, 5, 8), (1, 6, 8))),
+        (17, ((1, 2, 4, 8), (1, 2, 4, 9), (1, 2, 8, 4), (1, 4, 2, 8))),
     ]
-    assert np.array_equal(m.values, expected)
+    rng = np.random.default_rng(7)
+    for n, family in families:
+        d = len(family)
+        vectors = [ParamVector(v, n) for v in family]
+        perms = [rng.permutation(n) for _ in range(d)]
+        m = compose_checked(vectors, perms)
+        assert verify_magic_pandiagonal(m).passed
+        # digit q, relabeled by p_q, is worth n**(d-1-q)
+        digits = [p[build(v).values] for v, p in zip(vectors, perms)]
+        expected = sum(n ** (d - 1 - q) * digit for q, digit in enumerate(digits))
+        assert np.array_equal(m.values, expected), (d, n)
     with pytest.raises(ValueError, match="bijection"):
         compose_checked(
             [ParamVector((1, 2), 5), ParamVector((1, 3), 5)],

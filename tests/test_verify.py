@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import prod
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from fixtures import (
 )
 from pandiag.lattice import LatinArray, SliceSpec, Tie, build, slice_values
 from pandiag.magic import MagicArray
-from pandiag.params import ParamVector
+from pandiag.params import DIRECTIONS, ParamVector
 from pandiag import verify
 from pandiag.verify import (
     Line,
+    _kept_kinds,
     _line_cover,
     _square_at,
     _square_coords,
@@ -344,7 +346,7 @@ def test_square_at_descends_to_every_square(d, n):
 
 @pytest.mark.parametrize("d, n", [*SQUARE_POINTS, (4, 41)])
 def test_square_coords_are_the_square_views(d, n):
-    maps = _square_coords(d, n) @ (n ** np.arange(d - 1, -1, -1))
+    maps = np.stack(_square_coords(d, n)[:3], axis=1) @ (n ** np.arange(d - 1, -1, -1))
     expected = [(sq.origin, sq.row_step, sq.col_step) for sq in enumerate_squares(d, n)]
     assert maps.tolist() == [list(m) for m in expected]
 
@@ -434,6 +436,47 @@ def test_line_cover_closed_form_counts():
         assert len(build_cover(d, 2).kinds) == 4 * len(enumerate_squares(d, 2)), d
 
 
+# The line census: the distinct lines of each direction, counted off the
+# cover's cells alone.
+
+
+def expected_census(d, n, u):
+    """Distinct lines of direction u: every torus line for support <= 2, else the closed forms."""
+    support = np.count_nonzero(u)
+    if support <= 2:
+        return n ** (d - 1)
+    return {(3, 3): 3 * n - 2, (4, 3): n * (3 * n - 2), (4, 4): 7 * n - 6}[d, support]
+
+
+def up_to_sign(u):
+    """The rows of u, entries in {0, +-1}, each with its first nonzero entry made +1."""
+    return u * u[np.arange(len(u)), (u != 0).argmax(axis=1), None]
+
+
+@pytest.mark.parametrize(
+    "d, n",
+    [(2, n) for n in (*range(3, 12), 101)]
+    + [(3, n) for n in (*range(3, 14), 101)]
+    + [(4, n) for n in (*range(3, 10), 17)],
+)
+def test_line_census(d, n):
+    cover = _line_cover(d, n)
+    lines = (cover.offsets[cover.classes] + cover.origins[:, None, None]).reshape(-1, n)
+    # a line's direction is its step from its first cell to its second, mod n
+    first, second = (np.stack(np.unravel_index(lines[:, k], (n,) * d), axis=1) for k in (0, 1))
+    steps = (second - first) % n
+    steps[steps == n - 1] = -1
+    steps = up_to_sign(steps)
+    lines.sort(axis=1)
+    census = {
+        tuple(u.tolist()): len(np.unique(lines[(steps == u).all(axis=1)], axis=0))
+        for u in np.unique(steps, axis=0)
+    }
+    directions = up_to_sign(np.array([u for _, u in DIRECTIONS[d]]))
+    expected = {tuple(u): expected_census(d, n, u) for u in directions.tolist()}
+    assert census == expected
+
+
 # The step-class offset tables against SquareView's flat map.
 
 
@@ -446,6 +489,19 @@ def test_step_class_counts(d, orders, classes):
         cover = _line_cover(d, n)
         assert cover.offsets.shape == (classes, n, n)
         assert sorted(set(cover.classes.tolist())) == list(range(classes))
+    # at order 2 every (shape, kind) is a class; a k-box level has k*k face kinds
+    assert len(_line_cover(d, 2).offsets) == 4 * prod(k * k for k in range(3, d + 1))
+
+
+@pytest.mark.parametrize("d, classes", [(2, 4), (3, 21), (4, 120)])
+def test_kept_kinds_have_distinct_steps(d, classes):
+    # two kept (shape, kind) with one kind and one pair of steps would share a
+    # direction and relations, and the later one would have been dropped
+    _, row_signs, col_signs, _ = _square_coords(d, 1)
+    shape, kind = np.nonzero(_kept_kinds(row_signs, col_signs))
+    steps = zip(kind.tolist(), row_signs[shape].tolist(), col_signs[shape].tolist())
+    keys = {(k, *r, *c) for k, r, c in steps}
+    assert len(shape) == len(keys) == classes
 
 
 @pytest.mark.parametrize("d, n", [(3, 11), (4, 5)])
