@@ -43,6 +43,7 @@ from .params import (
     check_pair,
     check_quad,
     check_triple,
+    count_feasible,
     enumerate_feasible,
     iter_feasible,
     minimal_order,
@@ -88,6 +89,7 @@ __all__ = [
     "compose",
     "compose_checked",
     "count_constructed",
+    "count_feasible",
     "count_orthogonal_families",
     "decompose",
     "determinant",

@@ -16,7 +16,12 @@ backslash) with numpy, in blocks of about _READ_BLOCK characters into one
 array sized by the comma count, and hands json.loads the rest with a
 placeholder string in its place; any other text, or a values key that
 does not end up holding the placeholder, goes to json.loads whole, with
-the same result.
+the same result.  When json.loads refuses the rest, or the list is cut
+off (no "]" after it) but plain up to its last comma, the error comes
+from a short text, the header with the placeholder or with the last
+token alone, and is moved back to its place in the whole text: its
+message, line and column are json.loads's for the whole text, and no
+value of a cut list is kept.
 
 A grid is held once: the arrays that build, compose and the reader make
 are frozen and kept as they are by LatinArray, MagicArray and
@@ -40,7 +45,8 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -140,15 +146,15 @@ def document_to_json(doc: ArrayDocument) -> str:
 
 
 def document_from_json(text: str) -> ArrayDocument:
-    raw = _plain_document(text)
-    if raw is None:
-        # the text as read and as decoded; a JSON list holds at most one value more than
-        # it has commas, and json.loads keeps a list slot and a 32-byte int for each besides its cell
-        _charge("the document", 2 * len(text) + 48 * (text.count(",") + 1))
-        try:
+    try:
+        raw = _plain_document(text)
+        if raw is None:
+            # the text as read and as decoded; a JSON list holds at most one value more than
+            # it has commas, and json.loads keeps a list slot and a 32-byte int for each besides its cell
+            _charge("the document", 2 * len(text) + 48 * (text.count(",") + 1))
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InputError("document must be a JSON object")
     for key in ("dimension", "order", "values"):
@@ -183,55 +189,94 @@ def _plain_document(text: str) -> dict | None:
     None unless the text is ASCII with no backslash (so no string can hide
     a quote or spell the placeholder another way), its first '"values":['
     list is plain, and the top-level values key of the decoded text holds
-    the placeholder that replaced that list.
+    the placeholder that replaced that list.  Raises the JSONDecodeError
+    of json.loads(text) when the list is plain but the text around it is
+    not JSON, or when the list never closes and is plain up to its last
+    comma: json.loads fails the same way on the text without that plain
+    run, and the error is moved back to its place.
     """
     key = text.find('"values":[')
     if key < 0 or not text.isascii() or "\\" in text or f'"{_PLACEHOLDER}"' in text:
         return None
     lo = key + len('"values":[')
     hi = text.find("]", lo)
-    if hi < 0:
-        return None
-    count = text.count(",", lo, hi) + 1
+    count = text.count(",", lo, len(text) if hi < 0 else hi) + 1
     _charge("the document", 2 * len(text) + 8 * count)  # the text as read and as decoded, and the cells
+    if hi < 0:
+        # the list never closes, so once the values before its last comma are plain
+        # json.loads fails in its last token or after it; they are checked, not kept
+        cut = text.rfind(",", lo) + 1 or lo
+        if cut > lo and not all(_plain_commas(span) is not None for span in _spans(text, lo, cut - 1)):
+            return None
+        _decode_moved(text[:lo] + text[cut:], text, lo, cut - lo)  # raises, as json.loads(text) does
+        return None
     values = _plain_ints(text, lo, hi, count)
     if values is None:
         return None
-    try:
-        raw = json.loads(f'{text[: lo - 1]}"{_PLACEHOLDER}"{text[hi + 1 :]}')
-    except json.JSONDecodeError:
-        return None
+    short = f'{text[: lo - 1]}"{_PLACEHOLDER}"{text[hi + 1 :]}'
+    raw = _decode_moved(short, text, lo + len(_PLACEHOLDER) + 1, len(text) - len(short))
     if not isinstance(raw, dict) or raw.get("values") != _PLACEHOLDER:
         return None
     raw["values"] = _own_grid(values)
     return raw
 
 
+def _decode_moved(short: str, text: str, at: int, moved: int):
+    """json.loads(short), where short[at:] is text[at + moved:] and short[:at] stands for the rest.
+
+    An error at or after at is raised at its place in text, so its message,
+    line and column are those json.loads(text) gives.
+    """
+    try:
+        return json.loads(short)
+    except json.JSONDecodeError as exc:
+        pos = exc.pos + moved if exc.pos >= at else exc.pos
+        raise json.JSONDecodeError(exc.msg, text, pos) from None
+
+
 def _plain_ints(text: str, lo: int, hi: int, count: int) -> np.ndarray | None:
     """text[lo:hi] parsed as int64 when it is plain JSON integers joined by commas, else None.
 
     The span holds count - 1 commas, so its count values go into one
-    array allocated up front.  It is read in blocks of about _READ_BLOCK
-    characters that end before a comma; each block is then a plain list
-    on its own, and the temporaries stay block-sized.
+    array allocated up front.
     """
     out = np.empty(count, dtype=np.int64)
     at = 0
-    while True:
-        end = text.find(",", min(lo + _READ_BLOCK, hi), hi)
-        end = hi if end < 0 else end
-        block = _plain_block(text[lo:end])
+    for span in _spans(text, lo, hi):
+        block = _plain_block(span)
         if block is None:
             return None
         out[at : at + block.size] = block
         at += block.size
+    return out
+
+
+def _spans(text: str, lo: int, hi: int) -> Iterator[str]:
+    """text[lo:hi] in blocks of about _READ_BLOCK characters that end before a comma.
+
+    Each block of a plain list is then a plain list on its own, and the
+    temporaries of its checks stay block-sized.
+    """
+    while True:
+        end = text.find(",", min(lo + _READ_BLOCK, hi), hi)
+        end = hi if end < 0 else end
+        yield text[lo:end]
         if end == hi:
-            return out
+            return
         lo = end + 1
 
 
 def _plain_block(span: str) -> np.ndarray | None:
-    """span parsed as int64 when it is plain JSON integers joined by commas, else None.
+    """span parsed as int64 when it is plain JSON integers joined by commas, else None."""
+    cut = _plain_commas(span)
+    if cut is None:
+        return None
+    values = np.fromstring(span, dtype=np.int64, sep=",")
+    return values if values.size == np.count_nonzero(cut) - 1 else None
+
+
+def _plain_commas(span: str) -> np.ndarray | None:
+    """span's comma mask, with one more comma at each end, when span is plain, else None.
 
     Plain means digits and commas only, no empty token, no leading zero
     and at most 18 digits per token, so every token fits in an int64.
@@ -246,10 +291,7 @@ def _plain_block(span: str) -> np.ndarray | None:
     run = ~cut  # run[i]: a digit run of the current length starts at i
     for step in (1, 2, 4, 8, 3):  # run lengths 2, 4, 8, 16, 19
         run = run[:-step] & run[step:]
-    if run.any():
-        return None
-    values = np.fromstring(span, dtype=np.int64, sep=",")
-    return values if values.size == np.count_nonzero(cut) - 1 else None
+    return None if run.any() else cut
 
 
 def _all_ints(items: list) -> bool:
@@ -330,7 +372,9 @@ def main() -> None:  # pragma: no cover - thin entry point
     sys.exit(run())
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and kept: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="pandiag",
         description="Pandiagonal latin and magic arrays from linear forms over Z_n.",

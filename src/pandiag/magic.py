@@ -20,7 +20,7 @@ import numpy as np
 from .lattice import LatinArray, _own_grid, build, permute_symbols, value_grid
 from .modarith import gcd
 from .orthogonal import ParamMatrix, determinant, superpose, unit_determinant_masks
-from .params import DIMENSIONS, ParamVector, _feasible_blocks, check
+from .params import DIMENSIONS, ParamVector, _feasible_blocks, check, count_feasible
 
 # distinct-grid counting materializes every family x relabeling combination;
 # beyond d=2, n=5 that is no longer desk-scale
@@ -156,18 +156,14 @@ def count_constructed(dimension: int, order: int, distinct: bool = False) -> int
 
 def _family_rows(dimension: int, order: int) -> np.ndarray:
     """The canonical feasible vectors as a (K, d) array, within the census cap."""
-    blocks, count = [np.empty((0, dimension), dtype=np.int64)], 0
-    for block in _feasible_blocks(dimension, order, canonical_only=True):
-        count += len(block)
-        # past the cap only the count is needed, for the error
-        if count**dimension <= _MAX_FAMILY_COMBOS:
-            blocks.append(block)
+    count = count_feasible(dimension, order, canonical_only=True)
     if count**dimension > _MAX_FAMILY_COMBOS:
         raise ValueError(
             "out of supported range: too many candidate families"
             f" ({count}**{dimension})"
         )
-    return np.concatenate(blocks)
+    empty = np.empty((0, dimension), dtype=np.int64)
+    return np.concatenate([empty, *_feasible_blocks(dimension, order, canonical_only=True)])
 
 
 def _iter_families(dimension: int, order: int):

@@ -15,12 +15,25 @@ fixes one coordinate per level: one numpy pass tests a whole block of
 prefixes with every unit candidate for the next coordinate against the
 directions whose last nonzero entry is that coordinate, and the vectors it
 yields are built without being checked again.
+
+count_feasible counts without a search.  A residue is a unit mod n
+exactly when it is one mod every prime p dividing n, so a vector is
+feasible mod n exactly when its reduction mod each such p is, and the
+count is a CRT product over the prime powers of n.  Mod p the feasible
+vectors are the points off the hyperplanes alpha . u = 0, which the
+characteristic polynomial of the arrangement counts (Athanasiadis,
+Adv. Math. 122, 1996; it factors, Orlik and Terao, Arrangements of
+Hyperplanes, 1992): (p-1)(p-3), (p-1)(p-5)(p-7) and
+(p-1)(p-11)(p-13)(p-15) at d = 2, 3, 4 once p reaches the minimal order
+5, 11 or 17, and none below it.  The search and minimal_order ask it
+first, so an order without feasible vectors costs no walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, repeat
+from math import prod
 from operator import mul
 from typing import Iterator
 
@@ -88,6 +101,10 @@ def _search_levels(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 _SEARCH_LEVELS = {d: _search_levels(d) for d in DIMENSIONS}
 
+# the roots r of the canonical feasible count prod(p - r) at a prime p;
+# a prime at or below the last root admits no feasible vector
+_PRIME_COUNT_ROOTS = {2: (3,), 3: (5, 7), 4: (11, 13, 15)}
+
 
 @dataclass(frozen=True)
 class ParamVector:
@@ -99,8 +116,7 @@ class ParamVector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphas", tuple(int(a) for a in self.alphas))
         _check_dimension(self.dimension)
-        if not 2 <= self.order <= MAX_MODULUS:
-            raise ValueError(f"order {self.order} outside [2, {MAX_MODULUS}]")
+        _check_order(self.order)
         for a in self.alphas:
             if not 1 <= a <= self.order - 1:
                 raise ValueError(
@@ -217,12 +233,36 @@ def iter_feasible(
 def minimal_order(dimension: int, max_order: int) -> int | None:
     """Smallest order in [2, max_order] admitting a feasible vector, else None."""
     _check_dimension(dimension)
-    for n in range(2, max_order + 1):
-        # canonical search suffices: scaling by the inverse of the leading
-        # component maps any feasible vector to a canonical feasible one
-        if next(iter_feasible(dimension, n, canonical_only=True), None) is not None:
-            return n
-    return None
+    return next((n for n in range(2, max_order + 1) if count_feasible(dimension, n)), None)
+
+
+def count_feasible(dimension: int, order: int, canonical_only: bool = False) -> int:
+    """len(enumerate_feasible(dimension, order, canonical_only)), without a search.
+
+    The order is factored by trial division.  A prime power p**k of it
+    contributes the canonical count prod(p - r) at p, times p**((k-1)(d-1))
+    canonical lifts of each, times the (p-1) p**(k-1) units mod p**k that
+    scale a canonical vector when every vector is counted.
+    """
+    _check_dimension(dimension)
+    _check_order(order)
+    roots = _PRIME_COUNT_ROOTS[dimension]
+    count, rest, p = 1, order, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        k = 0
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        if k:
+            if p <= roots[-1]:
+                return 0
+            count *= prod(p - r for r in roots) * p ** ((k - 1) * (dimension - 1))
+            if not canonical_only:
+                count *= (p - 1) * p ** (k - 1)
+        p += 1
+    return count
 
 
 # cells of the (prefix, candidate, direction) test that one search pass
@@ -235,11 +275,11 @@ def _feasible_blocks(
 ) -> Iterator[np.ndarray]:
     """The feasible vectors as (P, dimension) int64 blocks, in lexicographic order.
 
-    Arguments are validated before the walk starts.
+    Arguments are validated before the walk starts, and an order that
+    admits no feasible vector starts none.
     """
-    _check_dimension(dimension)
-    if not 2 <= order <= MAX_MODULUS:
-        raise ValueError(f"order {order} outside [2, {MAX_MODULUS}]")
+    if not count_feasible(dimension, order, canonical_only):
+        return iter(())
     unit = unit_table(order)
     units = np.flatnonzero(unit)
     # a reduced fixed part plus a reduced candidate term lies in [0, 2n)
@@ -286,6 +326,11 @@ def _trusted_vector(alphas: tuple[int, ...], order: int) -> ParamVector:
 def _check_dimension(dimension: int) -> None:
     if dimension not in DIMENSIONS:
         raise ValueError(f"dimension must be one of {DIMENSIONS}, got {dimension}")
+
+
+def _check_order(order: int) -> None:
+    if not 2 <= order <= MAX_MODULUS:
+        raise ValueError(f"order {order} outside [2, {MAX_MODULUS}]")
 
 
 def _check(v: ParamVector, d: int) -> ConstraintReport:

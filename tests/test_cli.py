@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -13,6 +14,7 @@ from pandiag import cli, magic
 from pandiag.lattice import build
 from pandiag.magic import compose_checked
 from pandiag.params import ParamVector
+from pandiag.verify import verify_latin_pandiagonal
 
 from fixtures import CUBE_SLICE_DIAG, CUBE_SLICE_K2, HYPERCUBE_SLICE
 
@@ -251,19 +253,27 @@ def _refuse(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command", [["verify"], ["slice", "--spec", "k=0"]])
-@pytest.mark.parametrize("fast", [True, False], ids=["fast path", "json.loads path"])
-def test_verify_and_slice_charge_a_document_before_parsing_it(capsys, monkeypatch, command, fast):
+@pytest.mark.parametrize("path", ["fast path", "json.loads path", "unclosed list"])
+def test_verify_and_slice_charge_a_document_before_parsing_it(capsys, monkeypatch, command, path):
     _, doc, _ = run_cli(capsys, ["generate", "--order", "11", "--params", "1,2,7"])
-    if fast:
+    within = (0, "")
+    if path == "fast path":
         need = 2 * len(doc) + 8 * 11**3
-    else:  # a space after the key sends the text to json.loads whole
+    elif path == "json.loads path":  # a space after the key sends the text to json.loads whole
         doc = doc.replace('"values":[', '"values": [')
         need = 2 * len(doc) + 48 * (doc.count(",") + 1)
+    else:  # charged as if it were whole, though no value is kept
+        doc = doc[: len(doc) // 2]
+        need = 2 * len(doc) + 8 * (doc.count(",", doc.index('"values":[')) + 1)
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(doc)
+        within = (2, f"error: invalid JSON: {exc.value}\n")
     monkeypatch.setattr(cli, "MEMORY_BUDGET", need)
     code, out, err = run_cli(capsys, command, stdin=doc)
-    assert (code, err) == (0, "")
+    assert (code, err) == within
     monkeypatch.setattr(cli, "MEMORY_BUDGET", need - 1)
     monkeypatch.setattr(cli, "_plain_ints", _refuse)
+    monkeypatch.setattr(cli, "_plain_commas", _refuse)
     monkeypatch.setattr(cli.json, "loads", _refuse)
     code, out, err = run_cli(capsys, command, stdin=doc)
     assert (code, out) == (2, "")
@@ -330,6 +340,34 @@ def test_verify_fail_fast_stops_early(capsys):
     code, _, err = run_cli(capsys, ["verify", "--fail-fast"], stdin=doc)
     assert code == 1
     assert "repeated symbol" in err
+
+
+def test_one_parser_serves_every_run(capsys, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    for _ in range(2):
+        assert run_cli(capsys, ["search", "--dim", "2", "--order", "5"])[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
+def test_a_kept_parser_keeps_no_flag_between_runs(capsys):
+    # (1,1) is latin but fails its diagonal-minus: only a full scan finds the rows and columns latin
+    array = build(ParamVector((1, 1), 5))
+    _, doc, _ = run_cli(capsys, ["generate", "--order", "5", "--params", "1,1"])
+    full = verify_latin_pandiagonal(array)
+    code, _, err = run_cli(capsys, ["verify", "--fail-fast"], stdin=doc)
+    assert (code, err.startswith("verification failed (achieved: none): ")) == (1, True)
+    code, out, err = run_cli(capsys, ["verify"], stdin=doc)
+    assert full.property == "latin"
+    assert (code, out, err) == (
+        1, "", f"verification failed (achieved: latin): {full.first_failure.reason}\n"
+    )
 
 
 def test_verify_malformed_json_exit_2(capsys):

@@ -249,6 +249,25 @@ def test_every_token_at_every_place_agrees(token, at):
     assert_paths_agree('{"dimension":2,"order":2,"values":[' + ",".join(cells) + "]}")
 
 
+def test_a_cut_document_fails_as_json_loads_does_at_every_offset():
+    text = '{"dimension":2,\n"kind":"latin","order":3,"params":[1,2],"values":[0,1,2,1,2,0,2,0,1]}'
+    for at in range(len(text)):
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(text[:at])
+        assert outcome(text[:at]) == ("error", f"invalid JSON: {exc.value}"), at
+
+
+@pytest.mark.parametrize("tail", ["", "]", "]}x"], ids=["unclosed", "closed", "closed, then junk"])
+def test_a_truncated_document_is_refused_from_a_short_text(tail):
+    text = cli.document_to_json(cli.ArrayDocument(3, 101, build(ParamVector((1, 2, 4), 101)).values))
+    text = text[: text.index(",", len(text) // 2)] + tail
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(text)
+    with mock.patch.object(cli.json, "loads", wraps=json.loads) as loads:
+        assert outcome(text) == ("error", f"invalid JSON: {exc.value}")
+    assert loads.call_count == 1 and len(loads.call_args.args[0]) < 1024
+
+
 def test_canonical_document_takes_the_fast_path(capsys):
     assert cli.run(["generate", "--order", "11", "--params", "1,2,7"]) == 0
     text = capsys.readouterr().out

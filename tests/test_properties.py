@@ -10,7 +10,8 @@ its rows, columns and diagonals itself, using no verify internals.
 import math
 import tracemalloc
 from functools import lru_cache
-from itertools import combinations, product, takewhile
+from itertools import combinations, permutations, product, takewhile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,15 @@ from hypothesis import strategies as st
 from pandiag.lattice import LatinArray, build, permute_symbols, shift_axis
 from pandiag.magic import _MAX_FAMILY_COMBOS, MagicArray, compose, count_orthogonal_families
 from pandiag.orthogonal import ParamMatrix, determinant, unit_determinant_masks, verify_orthogonal_brute
-from pandiag.params import ParamVector, enumerate_feasible, iter_feasible
+from pandiag import magic, params
+from pandiag.params import (
+    _PRIME_COUNT_ROOTS,
+    DIRECTIONS,
+    ParamVector,
+    count_feasible,
+    enumerate_feasible,
+    iter_feasible,
+)
 from pandiag import verify
 from pandiag.verify import (
     Failure,
@@ -159,6 +168,131 @@ def test_count_follows_crt_product(point):
     assert count(d, n) == expected
 
 
+# the smallest orders with a feasible vector, at d = 2, 3, 4
+MINIMAL_ORDERS = {2: 5, 3: 11, 4: 17}
+
+
+def reduce_by(basis, u):
+    """u less integer multiples of an echelon basis's rows, so it is zero on their pivots."""
+    u = list(u)
+    for c, p in basis:
+        if u[c]:
+            u = [p[c] * x - u[c] * y for x, y in zip(u, p)]
+    return u
+
+
+def lattice_of_flats(rows):
+    """{flat: rank} over Q, a flat given by the indices of the rows whose hyperplanes hold it.
+
+    A flat is the span of some rows closed under the rows it holds.  Each
+    flat keeps an integer echelon basis, so the rank and the closure are
+    exact; the flats one rank up are the closures of the flat and one more
+    row.
+    """
+    out = {frozenset(): 0}
+    level = [(frozenset(), [])]
+    while level:
+        above = {}
+        for flat, basis in level:
+            covered = set(flat)
+            for i, u in enumerate(rows):
+                if i in covered:
+                    continue
+                w = reduce_by(basis, u)
+                wider = basis + [(next(c for c, x in enumerate(w) if x), w)]
+                cover = frozenset(j for j, v in enumerate(rows) if not any(reduce_by(wider, v)))
+                covered |= cover
+                if cover not in out:
+                    out[cover] = len(wider)
+                    above[cover] = wider
+        level = list(above.items())
+    return out
+
+
+def characteristic_polynomial(d):
+    """Coefficients of chi_d(t), highest power first: the sum over flats X of mu(X) t^dim(X)."""
+    flats = lattice_of_flats([u for _, u in DIRECTIONS[d]])
+    mu = {}
+    for x in sorted(flats, key=flats.get):
+        mu[x] = -sum(m for y, m in mu.items() if y < x) if x else 1
+    coeffs = [0] * (d + 1)
+    for x, rank in flats.items():
+        coeffs[rank] += mu[x]
+    return coeffs
+
+
+def monic(roots):
+    """Coefficients of prod(t - r), highest power first."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+@pytest.mark.parametrize("d,roots", [(2, (1, 3)), (3, (1, 5, 7)), (4, (1, 11, 13, 15))])
+def test_arrangement_polynomial_has_the_prime_count_roots(d, roots):
+    # the points of F_p^d off the hyperplanes alpha . u = 0 number chi_d(p)
+    # wherever the lattice survives reduction mod p; the unit scalings of
+    # alpha take out the root 1, and the count's table holds the others
+    assert characteristic_polynomial(d) == monic(roots)
+    assert _PRIME_COUNT_ROOTS[d] == roots[1:]
+
+
+def exact_minors(rows, k):
+    """Every k x k minor of an integer matrix, as int64, by the permutation expansion."""
+    rows = np.array(rows, dtype=np.int64)
+    picks = rows[np.array(list(combinations(range(len(rows)), k)))]
+    out = []
+    for cols in combinations(range(rows.shape[1]), k):
+        square = picks[:, :, cols]
+        det = 0
+        for perm in permutations(range(k)):
+            sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+            det = det + sign * np.prod(square[:, range(k), perm], axis=1)
+        out.append(det)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_minors_keep_the_lattice_past_the_minimal_order(d):
+    # a prime that divides no nonzero minor keeps every rank, so reduction
+    # mod p keeps the lattice of flats and chi_d counts the points mod p
+    rows = [u for _, u in DIRECTIONS[d]]
+    values = set()
+    for k in range(1, d + 1):
+        values |= {abs(int(m)) for m in exact_minors(rows, k)}
+    values.discard(0)
+    assert all(p < MINIMAL_ORDERS[d] for v in values for p, _ in factorize(v))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_no_feasible_vector_below_the_minimal_order(d):
+    # so an order with such a prime factor has none either: a unit mod n is one mod p
+    primes = [p for p in range(2, MINIMAL_ORDERS[d]) if factorize(p) == [(p, 1)]]
+    for p in primes:
+        assert brute_feasible(d, p, canonical=True) == [], p
+    assert brute_feasible(d, MINIMAL_ORDERS[d], canonical=True)
+
+
+def walked(d, n, canonical):
+    """How many vectors the search yields, walked even where the count says there are none.
+
+    iter_feasible makes one vector of each row of the search's blocks.
+    """
+    with mock.patch.object(params, "count_feasible", lambda *args: 1):
+        return sum(len(block) for block in params._feasible_blocks(d, n, canonical))
+
+
+def test_count_feasible_equals_the_search():
+    points = [(2, n, canonical) for n in range(2, 201) for canonical in (True, False)]
+    points += [(3, n, True) for n in range(2, 201)]
+    points += [(4, n, True) for n in range(2, 48)]
+    # the full d=3 search tests n**4 cells, 9 s over every n <= 200
+    points += [(3, n, False) for n in [*range(2, 101), 121, 125, 143, 169, 187, 198, 199]]
+    for d, n, canonical in points:
+        assert count_feasible(d, n, canonical) == walked(d, n, canonical), (d, n, canonical)
+
+
 def test_census_d2_matches_superposition():
     for n in range(2, 14):
         canonical = brute_feasible(2, n, canonical=True)
@@ -210,12 +344,18 @@ def test_census_memory_at_cap():
     assert peak < CENSUS_MEMORY_BUDGET, f"census peak {peak / 2**20:.1f} MB"
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the search was walked")
+
+
 def test_census_cap_error_keeps_no_rows():
-    # (4,101) has 681,120 canonical vectors, 21.8 MB as int64 rows
+    # (4,101) has 681,120 canonical vectors, 21.8 MB as int64 rows; the
+    # error counts them without a search
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"too many candidate families \(681120\*\*4\)$"):
-            count_orthogonal_families(4, 101)
+        with mock.patch.object(magic, "_feasible_blocks", _refuse):
+            with pytest.raises(ValueError, match=r"too many candidate families \(681120\*\*4\)$"):
+                count_orthogonal_families(4, 101)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
