@@ -8,20 +8,24 @@ identical bytes.
 
 Cells are written and read without per-cell Python.  json.dumps writes
 the header with an empty values list and one encoder, shared with the
-grid and csv renderers, splices in the digits of every cell, so the bytes
-are those of json.dumps of the int list or of a string join.  The reader
-parses a values list of plain digits and commas (no empty token, no
-leading zero, at most 18 digits per token, in an ASCII text with no
-backslash) with numpy, in blocks of about _READ_BLOCK characters into one
-array sized by the comma count, and hands json.loads the rest with a
-placeholder string in its place; any other text, or a values key that
-does not end up holding the placeholder, goes to json.loads whole, with
-the same result.  When json.loads refuses the rest, or the list is cut
-off (no "]" after it) but plain up to its last comma, the error comes
-from a short text, the header with the placeholder or with the last
-token alone, and is moved back to its place in the whole text: its
-message, line and column are json.loads's for the whole text, and no
-value of a cut list is kept.
+grid and csv renderers, splices in the digits of every cell, so the
+bytes are those of json.dumps of the int list or of a string join.  Each
+cell takes a NUL-padded byte row: a grid whose values span at most half
+as many numbers as it has cells, as a latin grid spells n, reads each
+cell's row from a table of those numbers' rows, and any other grid has
+its digits written cell by cell; the NULs are then dropped a block at a
+time, in place.  The reader parses a values list of plain digits and
+commas (no empty token, no leading zero, at most 18 digits per token, in
+an ASCII text with no backslash) with numpy, in blocks of about
+_READ_BLOCK characters into one array sized by the comma count, and
+hands json.loads the rest with a placeholder string in its place; any
+other text, or a values key that does not end up holding the
+placeholder, goes to json.loads whole, with the same result.  When
+json.loads refuses the rest, or the list is cut off (no "]" after it)
+but plain up to its last comma, the error comes from a short text, the
+header with the placeholder or with the last token alone, and is moved
+back to its place in the whole text: its message, line and column are
+json.loads's for the whole text, and no value of a cut list is kept.
 
 A grid is held once: the arrays that build, compose and the reader make
 are frozen and kept as they are by LatinArray, MagicArray and
@@ -78,6 +82,9 @@ _PLACEHOLDER = "<values>"
 
 # characters of a plain values list checked and parsed at a time
 _READ_BLOCK = 1 << 18
+
+# bytes of padded text the encoder strips of NULs at a time
+_PACK_BLOCK = 1 << 16
 
 KINDS = ("latin", "magic")
 
@@ -317,27 +324,49 @@ def _encode(flat: np.ndarray, sep: str, row: int = 0, offset: int = 0) -> str:
 
     row=0 joins the values by sep (a JSON list body); row=n lays them out
     as render_blocks does.  Each value fills one fixed-width byte row:
-    digits right-aligned behind NUL padding, then its terminators, so one
-    bytes.replace of NUL finishes the text.
+    digits right-aligned behind NUL padding, then its terminators.  When
+    offset .. top spans at most half as many values as there are cells, as
+    in a latin grid, the rows of offset .. top are written once and each
+    cell takes its value's row; otherwise each cell's digits are written.
     """
     top = int(flat.max()) + offset
     width = len(str(top))
-    buf = np.zeros((flat.size, width + (2 if row else 1)), dtype=np.uint8)
-    # the one temporary takes the smallest unsigned type that holds top
-    v = np.add(flat, offset, dtype=np.min_scalar_type(top), casting="unsafe")
-    _write_digits(v, buf[:, :width])
-    del v
-    buf[:, width] = ord(sep)
+    size = width + (2 if row else 1)
+    if 2 * (top + 1) <= flat.size:
+        # rows padded to a power of two bytes, which numpy indexes about four times faster than 3 or 5
+        table = np.zeros((top + 1 - offset, 1 << (size - 1).bit_length()), dtype=np.uint8)
+        _write_digits(np.arange(offset, top + 1, dtype=np.min_scalar_type(top)), table[:, :width])
+        table[:, width] = ord(sep)
+        # indexing, not ndarray.take, which copies a read-only index such as a frozen grid
+        buf = table.view(f"V{table.shape[1]}")[:, 0][flat].view(np.uint8).reshape(flat.size, -1)
+    else:
+        buf = np.zeros((flat.size, size), dtype=np.uint8)
+        # the one temporary takes the smallest unsigned type that holds top
+        v = np.add(flat, offset, dtype=np.min_scalar_type(top), casting="unsafe")
+        _write_digits(v, buf[:, :width])
+        del v
+        buf[:, width] = ord(sep)
     if row:
         buf[row - 1 :: row, width] = ord("\n")
         buf[row * row - 1 : -1 : row * row, width + 1] = ord("\n")
     else:
         buf[-1, width] = 0
-    text = buf.tobytes()
-    del buf
-    # rebinding drops the padded bytes before the str is made, so at most two copies live
-    text = text.replace(b"\0", b"")
-    return text.decode("ascii")
+    return _unpadded(buf.reshape(-1))
+
+
+def _unpadded(padded: np.ndarray) -> str:
+    """The bytes of padded without its NULs as ASCII text; padded is consumed.
+
+    Each block's kept bytes are moved to the front of padded, which they
+    never pass, so the text is made from padded itself and only the str is
+    held besides it.
+    """
+    end = 0
+    for lo in range(0, padded.size, _PACK_BLOCK):
+        kept = padded[lo : lo + _PACK_BLOCK].tobytes().translate(None, b"\0")
+        padded[end : end + len(kept)] = np.frombuffer(kept, dtype=np.uint8)
+        end += len(kept)
+    return str(padded[:end], "ascii")
 
 
 def _write_digits(v: np.ndarray, out: np.ndarray) -> None:
@@ -455,8 +484,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.dim is not None and args.dim != len(alphas):
         raise InputError(f"--dim {args.dim} contradicts {len(alphas)} coefficients")
     _check_order_cap(len(alphas), args.order, args.force)
-    # the built grid, held once; a second grid's worth for the encoder's digit temporaries
-    # and the interpreter, which the measured peaks need; and the text of a full document
+    # the built grid, held once; a second grid's worth for the encoder's padded digit rows,
+    # at most 8 bytes a cell; and the text of a full document (tracemalloc peaks: 14.8 bytes
+    # a cell for json or grid text at d=4 n=41, 15.0 for json at d=3 n=101)
     _check_memory(len(alphas), args.order, 2, 0 if args.slice is not None else args.order)
     v = _wrap_input(lambda: ParamVector(alphas, args.order))
     array = _wrap_input(lambda: build(v))
@@ -732,7 +762,7 @@ def _check_memory(dimension: int, order: int, arrays: int, top: int = 0) -> None
     """Refuse a run whose int64 arrays and text, for values up to top, would pass MEMORY_BUDGET.
 
     The text costs a byte per digit and two per terminator, twice: the
-    encoder's buffer and the string it yields.
+    encoder's string and the document made from it.
     """
     text = 2 * (len(str(top)) + 2) if top else 0
     _charge(f"order {order} at dimension {dimension}", order**dimension * (8 * arrays + text))

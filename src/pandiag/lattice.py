@@ -4,6 +4,11 @@ Coordinates are (x_0 .. x_{d-1}) with axis 0 slowest; for a square that
 means axis 0 indexes rows top to bottom and axis 1 indexes columns left to
 right.  Values live in [0, n-1] as int64.
 
+build sums the linear form without reducing any cell by arithmetic: a
+sum of two residues lies below 2n, so its residue is read from the
+doubled table arange(2n) % n, first for the sub-grid over axes 1 .. d-1
+and then for the slabs of axis 0, a few at a time.
+
 Every 2-D view, a SliceSpec as well as a constituent square of the
 verifier, is a plane through the grid that never wraps, so it is one flat
 affine map: its cell (r, c) is the cell origin + r*row_step + c*col_step
@@ -26,6 +31,9 @@ from .params import DIMENSIONS, ParamVector
 MAX_ORDER = 101
 
 AXIS_NAMES = "ijkl"
+
+# index cells per take when build reads whole slabs of the grid, unless one slab is larger
+_SLAB_CELLS = 1 << 14
 
 
 # grids this module froze itself, by id; an entry dies with its grid, so an id
@@ -141,18 +149,27 @@ class SliceSpec:
 
 
 def build(v: ParamVector) -> LatinArray:
-    """Materialize the array of sum(alpha_m * x_m) mod n over all coordinates."""
+    """Materialize the array of sum(alpha_m * x_m) mod n over all coordinates.
+
+    Slab x_0 is read from the residue table at sub + alpha_0*x_0 mod n,
+    where sub is the sub-grid over axes 1 .. d-1, straight into the grid.
+    Besides the grid the build holds sub and one index of whole slabs:
+    as many as fit in _SLAB_CELLS cells, or one larger slab.
+    """
     n, d = v.order, v.dimension
     if n > MAX_ORDER:
         raise ValueError(f"order {n} above array cap {MAX_ORDER}")
-    acc = np.zeros((n,) * d, dtype=np.int64)
-    axis_shape = [1] * d
-    for axis, a in enumerate(v.alphas):
-        axis_shape[axis] = n
-        acc += a * np.arange(n, dtype=np.int64).reshape(axis_shape)
-        axis_shape[axis] = 1
-    acc %= n
-    return LatinArray(_own_grid(acc), v)
+    table = np.arange(2 * n, dtype=np.int64) % n
+    first, *rest = (a * np.arange(n, dtype=np.int64) % n for a in v.alphas)
+    sub = rest.pop()
+    for residues in reversed(rest):
+        sub = table.take(np.add.outer(residues, sub))
+    grid = np.empty((n,) * d, dtype=np.int64)
+    step = max(1, _SLAB_CELLS // sub.size)
+    for x0 in range(0, n, step):
+        # under mode="raise" take writes through a buffer; every index is below 2n
+        table.take(np.add.outer(first[x0 : x0 + step], sub), out=grid[x0 : x0 + step], mode="clip")
+    return LatinArray(_own_grid(grid), v)
 
 
 def slice_view(a: LatinArray, spec: SliceSpec) -> np.ndarray:

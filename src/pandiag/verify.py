@@ -80,8 +80,10 @@ offset table per class, and a chunk's cells are its families' class
 tables plus their origins.  A magic line is tested by its sum.  A latin
 line of order n <= 63 is tested by its bit set: the values lie in [0,
 n-1], so OR(1 << v) over the line's n cells is 2**n - 1, which fits an
-int64, exactly when its n values are distinct.  Larger orders sort each
-line.
+int64, exactly when its n values are distinct.  Orders 64 to MAX_ORDER
+(101) split the bit set into two int64 words, one for the values below
+64 and one for the rest: the line is latin exactly when the first has
+all 64 bits set and the second is 2**(n-64) - 1.
 """
 
 from __future__ import annotations
@@ -298,9 +300,9 @@ def _failing_lines(lines: np.ndarray, magic_sum: int | None) -> np.ndarray:
     """Flat positions of the failing lines in lines, shape (..., n), ascending.
 
     Overwrites lines.  A magic line fails when its sum is not magic_sum,
-    a latin line of order below 64 when its bit set is not full, and a
-    longer latin line when sorted it is not 0..n-1; a line failed by
-    sorting is listed once per misplaced value.
+    and a latin line when its bit set is not full: one int64 word for
+    orders below 64, and from 64 to MAX_ORDER a low word for the values
+    below 64 and a high word for the rest, each set by in-range shifts.
     """
     n = lines.shape[-1]
     if magic_sum is not None:
@@ -308,8 +310,13 @@ def _failing_lines(lines: np.ndarray, magic_sum: int | None) -> np.ndarray:
     if n < 64:
         np.left_shift(1, lines, out=lines)
         return np.flatnonzero(np.bitwise_or.reduce(lines, axis=-1) != (1 << n) - 1)
-    lines.sort(axis=-1)
-    return np.flatnonzero(lines != np.arange(n)) // n
+    high = np.right_shift(lines, 6)  # 1 for the values from 64 on, as every value is below 128
+    low = np.bitwise_xor(high, 1)
+    np.bitwise_and(lines, 63, out=lines)
+    np.left_shift(low, lines, out=low)
+    np.left_shift(high, lines, out=high)
+    low, high = (np.bitwise_or.reduce(word, axis=-1) for word in (low, high))
+    return np.flatnonzero((low != -1) | (high != (1 << (n - 64)) - 1))
 
 
 def _line_at(square: SquareView, index: int) -> Line:

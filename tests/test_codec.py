@@ -112,6 +112,95 @@ def test_cli_one_based_grid_and_csv_match_reference(capsys):
         assert capsys.readouterr().out == reference_blocks(magic, sep, 1)
 
 
+def encoder_paths(call):
+    """call's result and the paths its encodes took: "table" when it wrote the digits of fewer values than cells."""
+    sizes = []
+    write = cli._write_digits
+    with mock.patch.object(cli, "_write_digits", lambda v, out: sizes.append(v.size) or write(v, out)):
+        with mock.patch.object(cli, "_encode", wraps=cli._encode) as encode:
+            got = call()
+    cells = [call_args.args[0].size for call_args in encode.call_args_list]
+    return got, ["table" if written < size else "loop" for written, size in zip(sizes, cells)]
+
+
+TOPS = [0, 9, 10, 99, 100, 101]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+@pytest.mark.parametrize("offset", [0, 1])
+@pytest.mark.parametrize("top", TOPS)
+def test_encode_matches_reference_on_both_paths(top, offset, block):
+    """A list body of 2 * (top + 1) cells (the table) or one fewer (the loop)."""
+    if top < offset:
+        return
+    rng = np.random.default_rng(top * 2 + offset)
+    with mock.patch.object(cli, "_PACK_BLOCK", block):
+        for cells, path in ((2 * (top + 1), "table"), (2 * (top + 1) - 1, "loop")):
+            flat = rng.integers(0, top - offset + 1, cells)
+            flat[rng.integers(cells)] = top - offset
+            flat.flags.writeable = False
+            got, paths = encoder_paths(lambda: cli._encode(flat, ",", 0, offset))
+            assert paths == [path]
+            assert got == json.dumps((flat + offset).tolist(), separators=(",", ":"))[1:-1]
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+@pytest.mark.parametrize("top", TOPS)
+def test_render_blocks_matches_reference_on_both_paths(top, offset):
+    """Grids whose top + 1 lies either side of half their cells, with rows of n and blocks of n * n."""
+    if top < offset:
+        return
+    rng = np.random.default_rng(top * 2 + offset)
+    seen = set()
+    for shape in ((2, 2), (3, 3), (7, 7), (10, 10), (15, 15), (2, 2, 2), (4, 4, 4), (5, 5, 5), (3, 3, 3, 3)):
+        values = rng.integers(0, top - offset + 1, shape)
+        values.flat[rng.integers(values.size)] = top - offset
+        for sep in (" ", ","):
+            got, paths = encoder_paths(lambda: cli.render_blocks(values, sep, offset))
+            assert got == reference_blocks(values, sep, offset)
+        seen.add(paths[0])
+        assert paths == ["table" if 2 * (top + 1) <= values.size else "loop"]
+    # a grid of zeros always has half its cells or more to spare
+    assert seen == ({"table", "loop"} if top else {"table"})
+
+
+def test_text_across_pack_blocks_matches_reference():
+    """A d=3 n=101 document and grid, megabytes of text over many blocks."""
+    v = ParamVector((1, 2, 4), 101)
+    doc = cli.ArrayDocument(3, 101, build(v).values, "latin", (v.alphas,))
+    for block in (1 << 16, 12345):
+        with mock.patch.object(cli, "_PACK_BLOCK", block):
+            (text, grid), paths = encoder_paths(
+                lambda: (cli.document_to_json(doc), cli.render_blocks(doc.values, " ", 1))
+            )
+        assert paths == ["table", "table"]
+        assert len(text) > 8 * block
+        assert text == reference_json(doc)
+        assert grid == reference_blocks(doc.values, " ", 1)
+
+
+def test_magic_documents_stay_on_the_loop_path():
+    values = compose_checked([ParamVector((1, 2), 5), ParamVector((1, 3), 5)]).values
+    for offset in (0, 1):
+        got, paths = encoder_paths(lambda: cli.render_blocks(values, ",", offset))
+        assert paths == ["loop"]
+        assert got == reference_blocks(values, ",", offset)
+
+
+def test_magic_document_encode_peak():
+    family = [ParamVector(alphas, 101) for alphas in ((1, 2, 4), (1, 2, 5), (1, 3, 5))]
+    doc = cli.ArrayDocument(3, 101, compose_checked(family).values, "magic")
+    tracemalloc.start()
+    try:
+        text = cli.document_to_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    padded = doc.values.size * (len(str(101**3 - 1)) + 1)  # a digit row and a comma per cell
+    # the padded rows and the text, where stripping the rows through bytes held them twice
+    assert peak < padded + len(text) + (64 << 10) < 2 * padded, f"peak {peak / 2**20:.2f} MiB"
+
+
 # reader: the fast path against json.loads whole
 
 

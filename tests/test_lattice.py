@@ -1,8 +1,10 @@
 import random
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixtures import (
@@ -12,7 +14,7 @@ from fixtures import (
     PANDIAGONAL_5A,
     PANDIAGONAL_5B,
 )
-from pandiag.cli import ArrayDocument, InputError, document_from_json, document_to_json
+from pandiag.cli import DEFAULT_ORDER_CAPS, ArrayDocument, InputError, document_from_json, document_to_json
 from pandiag.lattice import (
     LatinArray,
     SliceSpec,
@@ -35,6 +37,50 @@ def test_build_cell_formula():
     assert c.values[1, 1, 0] == 3
     assert c.values[2, 3, 4] == (2 + 6 + 28) % 11
     assert c.params == ParamVector((1, 2, 7), 11)
+
+
+@st.composite
+def build_cases(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(2, DEFAULT_ORDER_CAPS[d]))
+    alphas = tuple(draw(st.integers(1, n - 1)) for _ in range(d))
+    return ParamVector(alphas, n), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(build_cases())
+@example((ParamVector((1, 1), 2), 0))
+@example((ParamVector((1, 1, 1, 1), 2), 0))
+@example((ParamVector((100, 99), 101), 0))
+@example((ParamVector((1, 2, 100), 101), 0))
+@example((ParamVector((40, 39, 2, 1), 41), 0))
+def test_build_equals_python_int_sums(case):
+    """Every cell of a small grid, and of a large one its edges and a random sample, against Python ints."""
+    v, seed = case
+    n, d = v.order, v.dimension
+    grid = build(v).values
+    assert grid.shape == (n,) * d and grid.dtype == np.int64
+    if n**d <= 30000:
+        cells = list(product(range(n), repeat=d))
+    else:
+        rng = random.Random(seed)
+        cells = list(product(sorted({0, 1, n - 1}), repeat=d))
+        cells += [tuple(rng.randrange(n) for _ in range(d)) for _ in range(3000)]
+    got = grid[tuple(np.array(cells).T)].tolist()
+    assert got == [sum(a * x for a, x in zip(v.alphas, cell)) % n for cell in cells]
+
+
+@pytest.mark.parametrize("alphas, n", [((1, 2, 4), 101), ((1, 2, 4, 8), 41)])
+def test_build_holds_one_grid_and_two_slabs(alphas, n):
+    tracemalloc.start()
+    try:
+        grid = build(ParamVector(alphas, n)).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sub-grid over axes 1.. and one index slab; a second full int64 temporary fails this
+    slab = grid.nbytes // n
+    assert peak < grid.nbytes + 2 * slab + (64 << 10), f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_build_rejects_large_order():

@@ -581,6 +581,28 @@ def test_bit_set_line_test_equals_sorting(n, count, seed):
     assert np.array_equal(verify._failing_lines(lines.copy(), None), expected)
 
 
+@pytest.mark.parametrize("n", [64, 65, 100, 101])
+@pytest.mark.parametrize("seed", range(4))
+def test_two_word_line_test_equals_sorting(n, seed):
+    """From order 64 on the bit set takes two words; each edge value is repeated and missed."""
+    rng = np.random.default_rng(seed * 1000 + n)
+    edges = sorted({0, 63, 64, n - 1} & set(range(n)))
+    lines = rng.permuted(np.tile(np.arange(n), (60 + 2 * len(edges) ** 2, 1)), axis=1)
+    lines[:10] = rng.integers(0, n, (10, n))
+    at = 10
+    for missed in edges:  # missed is overwritten by a copy of each other edge value, or of a neighbour
+        for kept in [e for e in edges if e != missed] + [(missed + 1) % n]:
+            row = lines[at]
+            row[row == missed] = kept
+            at += 1
+    # one value copied over another at random: a single repeat, with one symbol missing
+    src, dst = rng.integers(0, n, (2, 20))
+    lines[at + np.arange(20), dst] = lines[at + np.arange(20), src]
+    expected = np.flatnonzero((np.sort(lines, axis=1) != np.arange(n)).any(axis=1))
+    assert at < len(lines) - 20 and expected.size > len(edges) ** 2
+    assert np.array_equal(verify._failing_lines(lines.copy(), None), expected)
+
+
 def clear_verify_caches():
     for cache in (enumerate_squares, verify._line_cover, verify._line_table):
         cache.cache_clear()

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 from math import prod
 
@@ -516,3 +517,71 @@ def test_offset_tables_match_square_views(d, n):
         r, c = local[kind]
         expected = square.origin + r * square.row_step + c * square.col_step
         assert np.array_equal(cover.offsets[cover.classes[f]] + cover.origins[f], expected), f
+
+
+# (passed, property, lines_checked, reason up to its cell values, sha256 prefix of the whole
+# reason) of a full and a fail_fast scan, pinned from the scan that sorted each line of order 64 on
+TWO_WORD_REPORTS = {
+    (2, 65, "linear"): [(True, "pandiagonal-latin", 260, None)] * 2,
+    (2, 65, "swapped"): [
+        (False, None, 260, ("repeated symbol in column of square", "08cf70fe5ccdc173")),
+        (False, None, 101, ("repeated symbol in column of square", "08cf70fe5ccdc173")),
+    ],
+    (2, 65, "infeasible"): [
+        (False, "latin", 260, ("repeated symbol in diagonal-minus of square", "a49bf1a59d3dccff")),
+        (False, None, 196, ("repeated symbol in diagonal-minus of square", "a49bf1a59d3dccff")),
+    ],
+    (2, 101, "linear"): [(True, "pandiagonal-latin", 404, None)] * 2,
+    (2, 101, "swapped"): [
+        (False, None, 404, ("repeated symbol in column of square", "62c425decd3b5cbf")),
+        (False, None, 155, ("repeated symbol in column of square", "62c425decd3b5cbf")),
+    ],
+    (2, 101, "infeasible"): [
+        (False, "latin", 404, ("repeated symbol in diagonal-plus of square", "85b1ccd4ce69cae2")),
+        (False, None, 203, ("repeated symbol in diagonal-plus of square", "85b1ccd4ce69cae2")),
+    ],
+    (3, 67, "linear"): [(True, "pandiagonal-latin", 55476, None)] * 2,
+    (3, 67, "swapped"): [
+        (False, None, 55476, ("repeated symbol in column of i=0", "36a9ef69e67bd062")),
+        (False, None, 104, ("repeated symbol in column of i=0", "36a9ef69e67bd062")),
+    ],
+    (3, 67, "infeasible"): [
+        (False, "latin", 55476, ("repeated symbol in diagonal-minus of i=j", "bb04ebaad59240ce")),
+        (False, None, 54070, ("repeated symbol in diagonal-minus of i=j", "bb04ebaad59240ce")),
+    ],
+    (3, 101, "linear"): [(True, "pandiagonal-latin", 124836, None)] * 2,
+    (3, 101, "swapped"): [
+        (False, None, 124836, ("repeated symbol in column of i=0", "f2489c5a2cce2cde")),
+        (False, None, 155, ("repeated symbol in column of i=0", "f2489c5a2cce2cde")),
+    ],
+    (3, 101, "infeasible"): [
+        (False, None, 124836, ("repeated symbol in diagonal-minus of k=0", "8dccf0fe688a402f")),
+        (False, None, 81912, ("repeated symbol in diagonal-minus of k=0", "8dccf0fe688a402f")),
+    ],
+}
+
+# a feasible and an infeasible vector per point
+TWO_WORD_VECTORS = {
+    (2, 65): ((1, 2), (1, 1)),
+    (2, 101): ((1, 2), (1, 100)),
+    (3, 67): ((1, 2, 4), (1, 2, 3)),
+    (3, 101): ((1, 2, 4), (1, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("d, n, variant", list(TWO_WORD_REPORTS))
+def test_two_word_reports_are_pinned(d, n, variant):
+    feasible, infeasible = TWO_WORD_VECTORS[d, n]
+    values = build(ParamVector(infeasible if variant == "infeasible" else feasible, n)).values
+    if variant == "swapped":  # two neighbouring cells of one row
+        values = values.copy().reshape(-1)
+        k = n * n // 2 + 3
+        values[[k, k + 1]] = values[[k + 1, k]]
+        values = values.reshape((n,) * d)
+    got = []
+    for fail_fast in (False, True):
+        r = verify_latin_pandiagonal(LatinArray(values), fail_fast=fail_fast)
+        reason = r.first_failure and r.first_failure.reason
+        pin = reason and (reason.split(": ")[0], hashlib.sha256(reason.encode()).hexdigest()[:16])
+        got.append((r.passed, r.property, r.lines_checked, pin))
+    assert got == TWO_WORD_REPORTS[d, n, variant]
