@@ -84,6 +84,22 @@ int64, exactly when its n values are distinct.  Orders 64 to MAX_ORDER
 (101) split the bit set into two int64 words, one for the values below
 64 and one for the rest: the line is latin exactly when the first has
 all 64 bits set and the second is 2**(n-64) - 1.
+
+Before the cover, a torus pass tests every torus line x + t*u mod n of the
+directions u of support <= 2 (e_a, e_a + e_b and e_a - e_b: 4, 9 and 16 of
+the 4, 13 and 40 directions) without a gather, folding the same words
+slab by slab (_torus_pass).  Each class has the direction of its lines,
+read from its signs, as a row of params.DIRECTIONS; a line of a family
+with cells (p, (p+k) mod n) holds origin + p*R + ((p+k) mod n)*C, which is
+origin + k*C + p*(R+C) mod n, a torus line of its direction, and rows and
+columns are too.  So a family whose class direction the pass proved holds
+no failing line, and the scan skips it: it meets the same failing lines in
+the same order, and its report is unchanged.  A passing array leaves 0, 12
+and 48n+56 families to gather at d=2, 3 and 4.  The pass stops at the
+first slab where a line along axes 1 .. d-1 fails, and then proves
+nothing.  Its cost grows with the slabs' count, not their size, so it runs
+only when a slab x_0 = p holds _TORUS_SLAB_CELLS cells or more: below
+that, its per-slab overhead costs more than the whole cover gather.
 """
 
 from __future__ import annotations
@@ -98,13 +114,17 @@ import numpy as np
 
 from .lattice import AXIS_NAMES, LatinArray, gather
 from .magic import MagicArray, sigma
-from .params import DIMENSIONS
+from .params import DIMENSIONS, DIRECTIONS
 
 LINE_KINDS = ("row", "column", "diagonal-plus", "diagonal-minus")
 
 # cells gathered per chunk of squares: enough to amortise the per-chunk
 # overhead, few enough to keep the scan's memory flat and fail_fast early
 _CHUNK_CELLS = 1 << 16
+# cells a slab x_0 = p must hold for the torus pass to cost no more than the
+# gathers it saves: measured even at 1,681 (d=3 n=41) in a warm process, and
+# cheaper from 841 (n=29) in a fresh one
+_TORUS_SLAB_CELLS = 2048
 
 
 @dataclass(frozen=True)
@@ -254,15 +274,25 @@ def _scan(
     n, d = values.shape[0], values.ndim
     cover = _line_cover(d, n)
     flat = values.ravel()
-    step = max(1, _CHUNK_CELLS // (n * n))
+    proved = _torus_pass(values, magic_sum) if n ** (d - 1) >= _TORUS_SLAB_CELLS else None
+    if proved is None:
+        families, cells = np.arange(len(cover.kinds)), _CHUNK_CELLS
+    else:
+        # every line of a family is a torus line of its class's direction
+        families = np.flatnonzero(~proved[cover.directions][cover.classes])
+        # the families left come in chunks whose 20 bytes a cell (the int32 index,
+        # take's intp copy of it, the int64 cells) stay below a third of the grid's 8
+        cells = min(_CHUNK_CELLS, flat.size // 8)
+    step = max(1, cells // (n * n))
     lines_checked = cover.square_count * 4 * n
     rows_cols_ok = main_diags_ok = True
     failure_at: tuple[int, int] | None = None
 
-    for base in range(0, len(cover.kinds), step):
-        chunk = slice(base, base + step)
+    for base in range(0, len(families), step):
+        chunk = families[base : base + step]
+        classes = cover.classes[chunk]
         # each family's cells: its step class's offsets moved to its origin
-        index = cover.offsets.take(cover.classes[chunk], axis=0)
+        index = cover.offsets.take(classes, axis=0)
         index += cover.origins[chunk, None, None]
         lines = flat.take(index)
         del index  # a chunk holds at most its index and its lines at once
@@ -270,11 +300,11 @@ def _scan(
         del lines
         if not bad.size:
             continue
-        line = cover.classes[chunk][bad // n], bad % n
+        line = classes[bad // n], bad % n
         rows_cols_ok &= not cover.row_col[line].any()
         main_diags_ok &= not cover.main_diag[line].any()
         if failure_at is None:
-            family, k = divmod(base * n + int(bad[0]), n)
+            family, k = int(chunk[bad[0] // n]), int(bad[0] % n)
             failure_at = (int(cover.squares[family]), int(cover.kinds[family]) * n + k)
             if fail_fast:
                 lines_checked = failure_at[0] * 4 * n + failure_at[1] + 1
@@ -296,27 +326,106 @@ def _scan(
     return VerificationReport(False, grade, lines_checked, magic_sum, Failure(line, reason))
 
 
+def _torus_pass(values: np.ndarray, magic_sum: int | None) -> np.ndarray | None:
+    """Whether every torus line of each row of DIRECTIONS[d] passes, or None.
+
+    Only the directions of support <= 2 are tested; the others read False.
+    One walk per pair of axes a < b reads the slabs x_a = p as views and
+    writes each slab's words into a buffer whose first axis is x_b.  The
+    line of e_a + e_b through the slab's cell x_b lands at x_b - p mod n,
+    that of e_a - e_b at x_b + p, so each slab folds (OR, or add for magic)
+    into two accumulators by two slices along their first axis.  The first
+    walk, a = 0 and b = 1, also folds e_0 and tests the lines along axes 1
+    .. d-1 in each slab, one reduce per axis; None means one of them
+    failed, and the pass stopped at that slab.
+    """
+    n, d = values.shape[0], values.ndim
+    op, targets = _line_test(n, magic_sum)
+    row = _direction_row(d)
+    unit = np.eye(d, dtype=np.int64)
+    proved = np.zeros(len(DIRECTIONS[d]), dtype=bool)
+    out = np.empty((n,) * (d - 1), dtype=np.int64)
+    # the accumulators of e_a + e_b, e_a - e_b and, in the first walk, e_0
+    totals = [[np.empty_like(out) for _ in targets] for _ in range(3)]
+    for a, b in combinations(range(d), 2):
+        first = b == 1
+        folds = [unit[a] + unit[b], unit[a] - unit[b]] + [unit[0]] * first
+        for acc in totals:
+            for total in acc:
+                total.fill(0)
+        # slab p, its axis b first
+        slabs = np.moveaxis(values, (a, b), (0, 1))
+        for p in range(n):
+            words = _words(slabs[p], magic_sum, out)
+            if first and not all(
+                (op.reduce(w, axis=x) == t).all() for x in range(d - 1) for w, t in zip(words, targets)
+            ):
+                return None
+            for shift, acc in zip(((-p) % n, p, None)[: len(folds)], totals):
+                for word, total in zip(words, acc):
+                    if shift is None:
+                        op(total, word, out=total)
+                        continue
+                    # total[(x_b + shift) mod n] folds word[x_b]
+                    head, tail = total[shift:], total[:shift]
+                    op(head, word[: n - shift], out=head)
+                    op(tail, word[n - shift :], out=tail)
+        for u, acc in zip(folds, totals):
+            proved[row[tuple(u.tolist())]] = all((t == target).all() for t, target in zip(acc, targets))
+    # the lines along axes 1 .. d-1 passed in every x_0 slab
+    for b in range(1, d):
+        proved[row[tuple(unit[b].tolist())]] = True
+    return proved
+
+
+@lru_cache(maxsize=None)
+def _direction_row(dimension: int) -> dict[tuple[int, ...], int]:
+    """The row of DIRECTIONS[dimension] holding each direction u, keyed by u and -u."""
+    rows = {}
+    for i, (_, u) in enumerate(DIRECTIONS[dimension]):
+        rows[u] = rows[tuple(-c for c in u)] = i
+    return rows
+
+
+def _line_test(n: int, magic_sum: int | None) -> tuple[np.ufunc, tuple[int, ...]]:
+    """(op, targets): a line passes when op folds each of its words to its target."""
+    if magic_sum is not None:
+        return np.add, (magic_sum,)
+    if n < 64:
+        return np.bitwise_or, ((1 << n) - 1,)
+    return np.bitwise_or, (-1, (1 << (n - 64)) - 1)
+
+
+def _words(cells: np.ndarray, magic_sum: int | None, out: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The words a line test folds over cells, one array per target of _line_test.
+
+    A magic line folds its values.  A latin line of order n <= 63 folds
+    1 << v, and from 64 to MAX_ORDER a low word for the values below 64 and
+    a high word for the rest, each set by in-range shifts.  out is shaped
+    like cells, may be cells itself, and is overwritten; every word is laid
+    out like out.
+    """
+    if magic_sum is None and cells.shape[-1] < 64:
+        return (np.left_shift(1, cells, out=out),)
+    if out is not cells:
+        np.copyto(out, cells)
+    if magic_sum is not None:
+        return (out,)
+    high = np.right_shift(out, 6)  # 1 for the values from 64 on, as every value is below 128
+    low = np.bitwise_xor(high, 1)
+    np.bitwise_and(out, 63, out=out)
+    return np.left_shift(low, out, out=low), np.left_shift(high, out, out=high)
+
+
 def _failing_lines(lines: np.ndarray, magic_sum: int | None) -> np.ndarray:
     """Flat positions of the failing lines in lines, shape (..., n), ascending.
 
-    Overwrites lines.  A magic line fails when its sum is not magic_sum,
-    and a latin line when its bit set is not full: one int64 word for
-    orders below 64, and from 64 to MAX_ORDER a low word for the values
-    below 64 and a high word for the rest, each set by in-range shifts.
+    Overwrites lines.
     """
-    n = lines.shape[-1]
-    if magic_sum is not None:
-        return np.flatnonzero(lines.sum(axis=-1) != magic_sum)
-    if n < 64:
-        np.left_shift(1, lines, out=lines)
-        return np.flatnonzero(np.bitwise_or.reduce(lines, axis=-1) != (1 << n) - 1)
-    high = np.right_shift(lines, 6)  # 1 for the values from 64 on, as every value is below 128
-    low = np.bitwise_xor(high, 1)
-    np.bitwise_and(lines, 63, out=lines)
-    np.left_shift(low, lines, out=low)
-    np.left_shift(high, lines, out=high)
-    low, high = (np.bitwise_or.reduce(word, axis=-1) for word in (low, high))
-    return np.flatnonzero((low != -1) | (high != (1 << (n - 64)) - 1))
+    op, targets = _line_test(lines.shape[-1], magic_sum)
+    words = _words(lines, magic_sum, lines)
+    fails = [op.reduce(w, axis=-1) != t for w, t in zip(words, targets)]
+    return np.flatnonzero(np.logical_or.reduce(fails))
 
 
 def _line_at(square: SquareView, index: int) -> Line:
@@ -356,7 +465,8 @@ class _Cover:
     order 2 there are four per shape.  row_col[c, k] and
     main_diag[c, k] tell whether line k of a family of class c is a row
     or column, or a main diagonal, of some square, by the flag rule of
-    the module docstring.
+    the module docstring.  directions[c] is the row of params.DIRECTIONS
+    holding the direction of class c's lines, up to sign.
     """
 
     square_count: int
@@ -365,6 +475,7 @@ class _Cover:
     classes: np.ndarray
     origins: np.ndarray
     offsets: np.ndarray
+    directions: np.ndarray
     row_col: np.ndarray
     main_diag: np.ndarray
 
@@ -394,6 +505,8 @@ def _line_cover(dimension: int, order: int) -> _Cover:
     main_diag = (kind >= 2)[:, None] & (np.arange(n) == 0)
     row_col = (kind < 2)[:, None] | main_diag & fixes_axis[:, None]
     rows, cols = _line_table(n).reshape(2, 4, n, n)
+    direction_row = _direction_row(d)
+    directions = _kind_directions(row_signs, col_signs)[shape, kind].tolist()
     cover = _Cover(
         square_count=len(shapes),
         squares=square,
@@ -401,6 +514,7 @@ def _line_cover(dimension: int, order: int) -> _Cover:
         classes=class_of[shapes[square], kinds],
         origins=(origins[square] @ strides).astype(np.int32),
         offsets=rows[kind] * row_step[:, None, None] + cols[kind] * col_step[:, None, None],
+        directions=np.array([direction_row[tuple(u)] for u in directions], dtype=np.intp),
         row_col=row_col,
         main_diag=main_diag,
     )
@@ -418,7 +532,7 @@ def _kept_kinds(sr: np.ndarray, sc: np.ndarray) -> np.ndarray:
     family of the same direction whose relations are among this one's.
     """
     d = sr.shape[-1]
-    u = np.stack([sc, sr, sr + sc, sr - sc], axis=1).reshape(-1, d)
+    u = _kind_directions(sr, sc).reshape(-1, d)
     # the sign s_a*s_b of each pair a<b inside one step's support, else 0
     a, b = np.triu_indices(d, 1)
     relations = (sr[:, a] * sr[:, b] + sc[:, a] * sc[:, b]).repeat(4, axis=0)
@@ -430,6 +544,16 @@ def _kept_kinds(sr: np.ndarray, sc: np.ndarray) -> np.ndarray:
     kept = np.ones(len(u), dtype=bool)
     kept[f[among]] = False
     return kept.reshape(-1, 4)
+
+
+def _kind_directions(sr: np.ndarray, sc: np.ndarray) -> np.ndarray:
+    """The direction of each line kind of each shape, shape (X, 4, d).
+
+    Rows run along the column signs, columns along the row signs, and the
+    diagonals along their sum and difference; a square's two sign vectors
+    have disjoint supports, so every entry is 0 or +-1.
+    """
+    return np.stack([sc, sr, sr + sc, sr - sc], axis=1)
 
 
 def _square_coords(dimension: int, order: int) -> tuple[np.ndarray, ...]:

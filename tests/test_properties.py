@@ -565,6 +565,117 @@ def test_verifier_equals_reference_scan_either_side_of_64(d, n, variant):
         assert got == reference_scan(values, None, grades, fail_fast)
 
 
+# the torus pass against explicit torus lines
+
+
+def brute_torus_verdict(values, u, magic_sum):
+    """Whether every line x + t*u mod n of the grid is latin, or sums to magic_sum."""
+    n, d = values.shape[0], values.ndim
+    u = np.array(u)
+    # one cell of each line: the one with x_a = 0, a the first axis u moves
+    base = np.indices((n,) * d).reshape(d, -1)
+    base = base[:, base[np.flatnonzero(u)[0]] == 0]
+    t = np.arange(n)
+    lines = values[tuple((base[:, :, None] + t * u[:, None, None]) % n)]
+    if magic_sum is None:
+        return bool((np.sort(lines, axis=1) == t).all())
+    return bool((lines.sum(axis=1) == magic_sum).all())
+
+
+TORUS_POINTS = [(d, n) for d in (2, 3) for n in (2, 3, 5, 7, 63, 64, 65, 101)] + [
+    (4, n) for n in (2, 3, 5, 7)
+]
+
+
+@SETTINGS
+@given(
+    st.sampled_from(TORUS_POINTS),
+    st.sampled_from(VARIANTS),
+    st.sampled_from(["latin", "magic"]),
+    st.integers(0, 2**32 - 1),
+)
+@example((3, 101), "built", "latin", 0)
+@example((3, 101), "built", "magic", 0)
+@example((2, 64), "relabelled", "latin", 0)
+@example((3, 65), "built", "latin", 1)
+@example((4, 7), "built", "latin", 1)
+@example((4, 5), "swapped", "magic", 0)
+def test_torus_pass_equals_brute_lines(point, variant, kind, seed):
+    d, n = point
+    rng = np.random.default_rng(seed)
+    sample = sample_latin if kind == "latin" else sample_magic
+    values = sample(d, n, variant, rng, seed)
+    magic_sum = None if kind == "latin" else n * (n**d - 1) // 2
+    proved = verify._torus_pass(values, magic_sum)
+    rows = {u: i for i, (_, u) in enumerate(DIRECTIONS[d])}
+    rows.update({tuple(-c for c in u): i for u, i in rows.items()})
+    verdicts = {
+        rows[u]: brute_torus_verdict(values, u, magic_sum)
+        for u in directions(d)
+        if np.count_nonzero(u) <= 2
+    }
+    if proved is None:  # a line failed inside a slab and the pass stopped there
+        assert not all(verdicts.values())
+    else:
+        assert {i: bool(proved[i]) for i in verdicts} == verdicts
+        assert proved.sum() == sum(verdicts.values())
+
+
+def line_sum_family(d, n, infeasible):
+    """d-1 feasible vectors and an infeasible one with a unit determinant.
+
+    Their composition holds every value once, yet the lines along which the
+    infeasible digit repeats a symbol miss the magic sum.
+    """
+    last = ParamVector(infeasible, n)
+    for rows in combinations(enumerate_feasible(d, n, canonical_only=True), d - 1):
+        if math.gcd(determinant(ParamMatrix((*rows, last))) % n, n) == 1:
+            return (*rows, last)
+    raise AssertionError("no family")
+
+
+# (kind, alphas, n, size rule lowered to 1 cell, the one direction the vector fails):
+# first failures found by the cover past the torus pass, on either side of its size rule
+TORUS_ROUTES = [
+    ("latin", (1, 2, 4), 7, False, "total"),
+    ("latin", (1, 2, 4), 7, True, "total"),
+    ("latin", (1, 2, 98), 101, False, "total"),
+    ("latin", (1, 1, 4), 7, False, "pair_diff(0,1)"),
+    ("latin", (1, 1, 4), 7, True, "pair_diff(0,1)"),
+    ("latin", (1, 1, 4), 101, False, "pair_diff(0,1)"),
+    ("line-sum", (1, 1, 4), 11, False, "pair_diff(0,1)"),
+    ("line-sum", (1, 1, 4), 11, True, "pair_diff(0,1)"),
+    ("line-sum", (1, 1, 4), 101, False, "pair_diff(0,1)"),
+    ("swapped", (1, 2, 4), 11, True, None),
+    ("swapped", (1, 2, 4), 101, False, None),
+    ("swapped", (1, 2, 4, 8), 17, False, None),
+]
+
+
+@pytest.mark.parametrize("kind, alphas, n, lowered, fails", TORUS_ROUTES)
+def test_torus_route_equals_reference_scan(monkeypatch, kind, alphas, n, lowered, fails):
+    if lowered:
+        monkeypatch.setattr(verify, "_TORUS_SLAB_CELLS", 1)
+    v = ParamVector(alphas, n)
+    assert [cid for cid, _ in params.check(v).violations] == ([fails] if fails else [])
+    if kind == "line-sum":
+        values = compose([build(row) for row in line_sum_family(len(alphas), n, alphas)]).values
+    else:
+        values = build(v).values
+        if kind == "swapped":
+            values = swap_cells(values, np.random.default_rng(n))
+    grades = ("latin", "diagonal-latin", "pandiagonal-latin")
+    for fail_fast in (False, True):
+        if kind == "line-sum":
+            got = verify_magic_pandiagonal(MagicArray(values), fail_fast=fail_fast)
+            expected = reference_magic(values, fail_fast)
+        else:
+            got = verify_latin_pandiagonal(LatinArray(values), fail_fast=fail_fast)
+            expected = reference_scan(values, None, grades, fail_fast)
+        assert not got.passed
+        assert got == expected
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.integers(2, 63), st.integers(1, 50), st.integers(0, 2**32 - 1))
 def test_bit_set_line_test_equals_sorting(n, count, seed):
@@ -625,6 +736,16 @@ def test_verify_memory_at_3_101():
     assert first < VERIFY_FIRST_MEMORY_BUDGET, f"first verify peak {first / 2**20:.1f} MB"
     again = traced_peak(lambda: verify_latin_pandiagonal(a))
     assert again < VERIFY_REPEAT_MEMORY_BUDGET, f"repeat verify peak {again / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("d, n", [(4, 17), (4, 41), (3, 101)])
+def test_torus_scan_memory_below_half_the_grid(d, n):
+    """A passing scan, its caches warm: the pass's slab buffers and the chunks that follow."""
+    a = build(enumerate_feasible(d, n, canonical_only=True)[0])
+    assert n ** (d - 1) >= verify._TORUS_SLAB_CELLS
+    verify_latin_pandiagonal(a)
+    peak = traced_peak(lambda: verify_latin_pandiagonal(a))
+    assert peak < a.values.nbytes / 2, f"scan peak {peak / a.values.nbytes:.2f} grids"
 
 
 def test_line_cover_memory_at_4_41():

@@ -16,7 +16,7 @@ from fixtures import (
 )
 from pandiag.lattice import LatinArray, SliceSpec, Tie, build, slice_values
 from pandiag.magic import MagicArray
-from pandiag.params import DIRECTIONS, ParamVector
+from pandiag.params import DIRECTIONS, ParamVector, check
 from pandiag import verify
 from pandiag.verify import (
     Line,
@@ -454,12 +454,14 @@ def up_to_sign(u):
     return u * u[np.arange(len(u)), (u != 0).argmax(axis=1), None]
 
 
-@pytest.mark.parametrize(
-    "d, n",
+CENSUS_POINTS = (
     [(2, n) for n in (*range(3, 12), 101)]
     + [(3, n) for n in (*range(3, 14), 101)]
-    + [(4, n) for n in (*range(3, 10), 17)],
+    + [(4, n) for n in (*range(3, 10), 17)]
 )
+
+
+@pytest.mark.parametrize("d, n", CENSUS_POINTS)
 def test_line_census(d, n):
     cover = _line_cover(d, n)
     lines = (cover.offsets[cover.classes] + cover.origins[:, None, None]).reshape(-1, n)
@@ -476,6 +478,51 @@ def test_line_census(d, n):
     directions = up_to_sign(np.array([u for _, u in DIRECTIONS[d]]))
     expected = {tuple(u): expected_census(d, n, u) for u in directions.tolist()}
     assert census == expected
+
+
+@pytest.mark.parametrize("d, n", CENSUS_POINTS + [(2, 2), (3, 2), (4, 2)])
+def test_class_directions_are_the_steps_of_their_cells(d, n):
+    cover = _line_cover(d, n)
+    lines = (cover.offsets[cover.classes] + cover.origins[:, None, None]).reshape(-1, n)
+    first, second = (np.stack(np.unravel_index(lines[:, k], (n,) * d), axis=1) for k in (0, 1))
+    steps = second - first
+    # each line steps by its class's direction, up to sign, mod n
+    u = np.array([u for _, u in DIRECTIONS[d]])[cover.directions[cover.classes]].repeat(n, axis=0)
+    assert (((steps - u) % n == 0).all(axis=1) | ((steps + u) % n == 0).all(axis=1)).all()
+    # the torus pass can clear a family of every direction of support <= 2
+    short = {i for i, (_, u) in enumerate(DIRECTIONS[d]) if np.count_nonzero(u) <= 2}
+    assert short <= set(cover.directions.tolist())
+
+
+# (d, n, whether the size rule is lowered to 1 cell, families gathered): above the
+# rule a passing scan gathers the families of support >= 3 alone
+GATHERED = [
+    (2, 101, False, 4),
+    (2, 101, True, 0),
+    (3, 11, False, 9 * 11 + 12),
+    (3, 11, True, 12),
+    (3, 101, False, 12),
+    (4, 17, False, 48 * 17 + 56),
+    (4, 41, False, 48 * 41 + 56),
+]
+
+
+@pytest.mark.parametrize("d, n, lowered, gathered", GATHERED)
+def test_passing_scan_gathers_only_what_the_torus_pass_leaves(monkeypatch, d, n, lowered, gathered):
+    counted = []
+    failing_lines = verify._failing_lines
+
+    def counting(lines, magic_sum):
+        counted.append(len(lines))
+        return failing_lines(lines, magic_sum)
+
+    monkeypatch.setattr(verify, "_failing_lines", counting)
+    if lowered:
+        monkeypatch.setattr(verify, "_TORUS_SLAB_CELLS", 1)
+    alphas = {2: (1, 2), 3: (1, 2, 4), 4: (1, 2, 4, 8 if n == 17 else 10)}[d]
+    report = verify_latin_pandiagonal(build(ParamVector(alphas, n)))
+    assert report.passed and report.property == "pandiagonal-latin"
+    assert sum(counted) == gathered
 
 
 # The step-class offset tables against SquareView's flat map.
@@ -585,3 +632,32 @@ def test_two_word_reports_are_pinned(d, n, variant):
         pin = reason and (reason.split(": ")[0], hashlib.sha256(reason.encode()).hexdigest()[:16])
         got.append((r.passed, r.property, r.lines_checked, pin))
     assert got == TWO_WORD_REPORTS[d, n, variant]
+
+
+# Arrays failing one direction the cover reaches past the torus pass, pinned from
+# the scan that gathered every family: (1,2,3,7) fails total_less_component_less_double(3,2)
+# alone, of support 3, and (1,1,4,10) pair_diff(0,1) alone, of support 2
+TORUS_ROUTE_REPORTS = {
+    (1, 2, 3, 7): [
+        (False, None, 3723456, ("repeated symbol in diagonal-minus of cube(l=0)/i=j", "6e934700fde459aa")),
+        (False, None, 2622484, ("repeated symbol in diagonal-minus of cube(l=0)/i=j", "6e934700fde459aa")),
+    ],
+    (1, 1, 4, 10): [
+        (False, None, 3723456, ("repeated symbol in diagonal-minus of cube(k=0)/l=0", "fc6b3175cc1b205a")),
+        (False, None, 1748364, ("repeated symbol in diagonal-minus of cube(k=0)/l=0", "fc6b3175cc1b205a")),
+    ],
+}
+
+
+@pytest.mark.parametrize("alphas", list(TORUS_ROUTE_REPORTS))
+def test_torus_route_reports_are_pinned_at_4_41(alphas):
+    v = ParamVector(alphas, 41)
+    assert len(check(v).violations) == 1
+    a = build(v)
+    got = []
+    for fail_fast in (False, True):
+        r = verify_latin_pandiagonal(a, fail_fast=fail_fast)
+        reason = r.first_failure.reason
+        got.append((r.passed, r.property, r.lines_checked,
+                    (reason.split(": ")[0], hashlib.sha256(reason.encode()).hexdigest()[:16])))
+    assert got == TORUS_ROUTE_REPORTS[alphas]
