@@ -12,20 +12,24 @@ main diagonals).  The canonical scan reads the squares in that order and
 each square's lines in the order rows, columns, diagonal-plus,
 diagonal-minus.
 
-The verifier reads only the value grid, never construction provenance.
-A box is an affine map of its local coordinates into the grid, origin
-plus one step per local axis, starting from the whole array with step
-e_x along axis x.  Fixing axis a to v moves the origin by v*steps[a];
-tying a<b equal adds their steps, tying them anti subtracts steps[b] and
-moves the origin by (n-1)*steps[b].  No face wraps, so each square is
-exactly the map origin + r*row_step + c*col_step, and times the strides
-n**(d-1-x) it is a flat map into the C-ordered grid.  The scan's table of
-squares applies the rule a level at a time, to every box of a level as
-arrays.  A failing square is named by its index: the k*n + k*(k-1) faces
-of a k-box hold equally many squares, so the index picks one face per
-level.  One line table holds the local cells of a square's lines;
-enumerate_lines and the failure report read it, and the scan reads it
-through the step-class tables below.
+The verifier reads only the value grid, never construction provenance.  A
+box is an affine map of its local coordinates into the grid, origin plus
+one step per local axis, starting from the whole array with step e_x
+along axis x.  Fixing axis a to v moves the origin by v*steps[a]; tying
+a<b equal adds their steps, tying them anti subtracts steps[b] and moves
+the origin by (n-1)*steps[b].  No face wraps, so each square is exactly
+the map origin + r*row_step + c*col_step, and times the strides
+n**(d-1-x) it is a flat map into the C-ordered grid.  A square's shape,
+its face kind at each level (k*k for a k-box), gives its steps and
+labels, the step s_l of the axis that level l fixes (0 at a tie) and the
+sum t of the steps its anti ties subtract.  One table per d, free of n,
+holds the 1, 9 and 144 shapes at d=2, 3 and 4 (_shape_table).  An index
+decodes to its square's shape and fixed values v_l, a digit per level in
+radix k*(n+k-1), and its origin is sum_l v_l*s_l + (n-1)*t;
+enumerate_squares, the cover and a failure's name read that one decode.
+One line table holds the local cells of a square's lines; enumerate_lines
+and the failure report read it, and the scan reads it through the
+step-class tables below.
 
 The same line lies in many squares: at d=4 n=41 the canonical scan has
 3,723,456 lines but only 1,184,360 distinct cell sets.  A family is the n
@@ -41,22 +45,20 @@ and whether it is a main diagonal of some square, and every cell set
 occurs in the cover, so the grade ladder reads the same.  lines_checked
 counts the canonical scan's lines.
 
-The cover follows from a rule free of n.  A square's shape is its face
-kind at each level (a fixed axis, whatever its value, or which tie): 1, 9
-and 144 shapes at d=2, 3 and 4, each with one pair of steps.  Rows run
-along col_step, columns along row_step and diagonals along row_step +-
-col_step; above order 2 a line's cells fix that direction u up to sign.
-Each pair of axes a<b in the support of one step s gives the shape a
-relation, x_b = x_a if s_a*s_b = 1 and x_b = n-1 - x_a if not, and a
-square is exactly the cells meeting its shape's relations and fixed
+The cover follows from a rule free of n, on the shapes and their steps.
+Rows run along col_step, columns along row_step and diagonals along
+row_step +- col_step; above order 2 a line's cells fix that direction u
+up to sign.  Each pair of axes a<b in the support of one step s gives the
+shape a relation, x_b = x_a if s_a*s_b = 1 and x_b = n-1 - x_a if not,
+and a square is exactly the cells meeting its shape's relations and fixed
 values.  So each line of a family of shape X is a line of a square of any
-shape Y that has a family of direction u and relations among X's.  When
-Y appears before X, that square comes first too (shapes appear in the
-order of their face kinds, level by level, and two squares holding one
-line with the same fixed-axis top face lie in one cube), and the family
-is dropped.  The cover keeps the rest; the tests check them against
-brute-force first occurrences and the counts 4, 9n+12 and 16n^2+48n+56
-at d=2, 3 and 4.
+shape Y that has a family of direction u and relations among X's.  When Y
+appears before X, that square comes first too (shapes appear in the order
+of their face kinds, level by level, and two squares holding one line
+with the same fixed-axis top face lie in one cube), and the family is
+dropped.  The cover keeps the rest; the tests check them against
+brute-force first occurrences and derive their counts, 4, 9n+12 and
+16n^2+48n+56 at d=2, 3 and 4, from the shapes.
 
 Every line of a row or column family is a row or column, and line 0 of a
 diagonal family is a main diagonal; meeting every relation over u's
@@ -106,13 +108,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 from math import prod
 from typing import Iterator
 
 import numpy as np
 
-from .lattice import AXIS_NAMES, LatinArray, gather
+from .lattice import AXIS_NAMES, MAX_ORDER, LatinArray, gather
 from .magic import MagicArray, sigma
 from .params import DIMENSIONS, DIRECTIONS
 
@@ -192,24 +194,16 @@ def enumerate_squares(dimension: int, order: int) -> tuple[SquareView, ...]:
     if dimension not in DIMENSIONS:
         raise ValueError(f"dimension must be 2, 3 or 4, got {dimension}")
     _check_order(order)
-    # (face labels, local axis names, origin, steps) of each box
-    boxes = iter([((), *_whole_box(dimension, order))])
-    for _ in range(dimension - 2):
-        boxes = (
-            (labels + (label,), *face)
-            for labels, *box in boxes
-            for label, *face in _faces(order, *box)
-        )
-    return tuple(
-        SquareView(order, _square_id(labels), dimension, origin, *steps)
-        for labels, _, origin, steps in boxes
-    )
+    return tuple(_square_views(dimension, order, np.arange(_square_count(dimension, order))))
 
 
 def enumerate_cubes(order: int) -> list[str]:
     """Ids of the 4n+12 constituent cubes of a 4-D array."""
     _check_order(order)
-    return [label for label, *_ in _faces(order, *_whole_box(4, order))]
+    # the first square of each cube
+    shapes, values, _ = _decode(4, order, np.arange(4 * order + 12) * (3 * order + 6))
+    labels = _shape_table(4)[0]
+    return [labels[s][0].format(*v, m=order - 1) for s, v in zip(shapes.tolist(), values.tolist())]
 
 
 def enumerate_lines(square: SquareView) -> list[Line]:
@@ -314,7 +308,7 @@ def _scan(
 
     if failure_at is None:
         return VerificationReport(True, grades[2], lines_checked, magic_sum)
-    square = _square_at(d, n, failure_at[0])
+    (square,) = _square_views(d, n, np.array([failure_at[0]]))
     line = _line_at(square, failure_at[1])
     found = [int(values[c]) for c in line.cells]
     if magic_sum is None:
@@ -457,16 +451,14 @@ def _line_table(n: int) -> np.ndarray:
 class _Cover:
     """The families of lines the scan tests, in canonical order.
 
-    A family is the n lines of one kind in one square.  Family f is kind
-    kinds[f] of square squares[f].  Its step class, classes[f], numbers
-    its square's shape with its kind among the kept (shape, kind), and its
-    line k holds the cells origins[f] + offsets[classes[f], k].  Above
-    order 2 no other class has its kind and steps (module docstring); at
-    order 2 there are four per shape.  row_col[c, k] and
-    main_diag[c, k] tell whether line k of a family of class c is a row
-    or column, or a main diagonal, of some square, by the flag rule of
-    the module docstring.  directions[c] is the row of params.DIRECTIONS
-    holding the direction of class c's lines, up to sign.
+    Family f is the n lines of kind kinds[f] in square squares[f], and its
+    line k holds the cells origins[f] + offsets[classes[f], k].  Its step
+    class, classes[f], numbers its square's shape with its kind among the
+    kept (shape, kind): above order 2 no two classes share a kind and
+    steps (module docstring), and order 2 has four per shape.
+    row_col[c, k] and main_diag[c, k] tell whether line k of class c is a
+    row or column, or a main diagonal, of some square; directions[c] is
+    the row of params.DIRECTIONS holding its lines' direction up to sign.
     """
 
     square_count: int
@@ -486,12 +478,12 @@ def _line_cover(dimension: int, order: int) -> _Cover:
 
     A square's shape decides which of its kinds are kept: all four at order
     2, else those _kept_kinds leaves.  Each kept (shape, kind) is a step
-    class, numbered in (shape, kind) order.
+    class, numbered in (shape, kind) order, with the shape's signs; the
+    origins are decoded from the squares of kept families alone.
     """
     n, d = order, dimension
-    origins, _, _, shapes = _square_coords(d, n)
-    # the row and column signs of each shape: at order 1 each face kind has one face
-    _, row_signs, col_signs, _ = _square_coords(d, 1)
+    _, _, row_signs, col_signs, *_ = _shape_table(d)
+    shapes = _decode(d, n, np.arange(_square_count(d, n)))[0]
     kept = _kept_kinds(row_signs, col_signs) if n > 2 else np.ones((len(row_signs), 4), dtype=bool)
     square, kinds = np.divmod(np.flatnonzero(kept[shapes]).astype(np.int32), 4)
     class_of = (np.cumsum(kept) - 1).astype(np.int16).reshape(kept.shape)
@@ -512,7 +504,7 @@ def _line_cover(dimension: int, order: int) -> _Cover:
         squares=square,
         kinds=kinds,
         classes=class_of[shapes[square], kinds],
-        origins=(origins[square] @ strides).astype(np.int32),
+        origins=_decode(d, n, square)[2].astype(np.int32),
         offsets=rows[kind] * row_step[:, None, None] + cols[kind] * col_step[:, None, None],
         directions=np.array([direction_row[tuple(u)] for u in directions], dtype=np.intp),
         row_col=row_col,
@@ -556,82 +548,89 @@ def _kind_directions(sr: np.ndarray, sc: np.ndarray) -> np.ndarray:
     return np.stack([sc, sr, sr + sc, sr - sc], axis=1)
 
 
-def _square_coords(dimension: int, order: int) -> tuple[np.ndarray, ...]:
-    """Origin cell, row signs, column signs and shape of every square.
+@lru_cache(maxsize=None)
+def _shape_table(dimension: int) -> tuple:
+    """(face labels, id, row signs, column signs, fixed steps, anti offset) of each shape.
 
-    The first three are (S, d) arrays.  A shape is the square's face kind
-    at every level: a k-box has k*k face kinds, n faces fixing each axis
-    and then one per tie, so the shapes number the squares of
-    _square_coords(d, 1).  _faces runs once per box level, on the origins
-    and steps of every box of the level as (boxes, d) arrays of coordinates
-    and sign vectors; its face-major output is stacked box-major.  A
-    failing square is named by its index instead, through _square_at, one
-    face per level.
+    The shapes come in order of first appearance.  Their labels and ids
+    read {l} for the value level l fixes and {m} for n-1 (module docstring).
     """
     d = dimension
-    # the whole array: origin 0, local axis x along global axis x
-    maps = [np.zeros((1, d), dtype=np.int64), *np.eye(d, dtype=np.int64)[:, None]]
-    shapes = np.zeros(1, dtype=np.int64)
-    for k in range(d, 2, -1):
-        faces = _faces(order, AXIS_NAMES[:k], maps[0], tuple(maps[1:]))
-        # (origin, *steps) of each face over every box, stacked so box b's faces stay together
-        columns = zip(*((origin, *steps) for _, _, origin, steps in faces))
-        maps = [np.stack(column, axis=1).reshape(-1, d) for column in columns]
-        kinds = np.repeat(np.arange(k * k), [order] * k + [1] * (k * k - k))
-        shapes = (shapes[:, None] * k * k + kinds).ravel()
-    origins, row_signs, col_signs = maps
-    return origins, row_signs, col_signs, shapes
+    # (labels, local axis names, steps, fixed steps, anti offset) of each box
+    boxes = [((), AXIS_NAMES[:d], tuple(np.eye(d, dtype=np.int64)), (), np.zeros(d, dtype=np.int64))]
+    for level in range(d - 2):
+        boxes = [
+            (labels + (label,), sub_names, sub_steps, fixed + (s,), anti + t)
+            for labels, names, steps, fixed, anti in boxes
+            for label, sub_names, sub_steps, s, t in _faces(names, steps, f"{{{level}}}")
+        ]
+    labels, _, steps, fixed, anti = zip(*boxes)
+    # a path of face labels reads cube(l=3)/i=j, or square at d=2
+    ids = tuple("".join(f"cube({x})/" for x in p[:-1]) + p[-1] if p else "square" for p in labels)
+    row_signs, col_signs = np.array(steps).transpose(1, 0, 2)
+    fixed = np.array(fixed, dtype=np.int64).reshape(len(boxes), d - 2, d)
+    table = row_signs, col_signs, fixed, np.array(anti)
+    for field in table:
+        field.flags.writeable = False
+    return labels, ids, *table
 
 
-def _square_at(dimension: int, order: int, index: int) -> SquareView:
-    """Square index of the canonical order, found by descending one face per level."""
-    labels: tuple[str, ...] = ()
-    box = _whole_box(dimension, order)
-    for k in range(dimension, 2, -1):
-        # each face of a k-box is a (k-1)-box, and a j-box has j*n + j*(j-1) faces
-        face, index = divmod(index, prod(j * (order + j - 1) for j in range(3, k)))
-        label, *box = next(islice(_faces(order, *box), face, None))
-        labels += (label,)
-    _, origin, steps = box
-    return SquareView(order, _square_id(labels), dimension, origin, *steps)
+def _square_count(d: int, n: int) -> int:
+    """Squares of a d-array: a k-box has k*n + k*(k-1) faces, each a (k-1)-box."""
+    return prod(k * (n + k - 1) for k in range(3, d + 1))
 
 
-def _square_id(labels: tuple[str, ...]) -> str:
-    """Id of the square reached by a path of face labels: cube(l=3)/i=j, or square."""
-    return "".join(f"cube({x})/" for x in labels[:-1]) + labels[-1] if labels else "square"
+def _decode(d: int, n: int, squares: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The shape, fixed values and flat origin of each square index.
+
+    Level l is a face of a k-box, k = d - l: the index's digit in radix
+    k*(n+k-1).  Its first k*n faces fix axis face // n to face % n, and each
+    tie after them is a face kind, so the shape's digit in radix k*k is
+    face // n or face - k*(n-1).  A tie's value reads 0.
+    """
+    shapes = np.zeros_like(squares)
+    values = np.empty((len(squares), d - 2), dtype=np.int64)
+    for level, k in enumerate(range(d, 2, -1)):
+        face, squares = np.divmod(squares, _square_count(k - 1, n))
+        fixed = face < k * n
+        shapes = shapes * k * k + np.where(fixed, face // n, face - k * (n - 1))
+        values[:, level] = np.where(fixed, face % n, 0)
+    strides = n ** np.arange(d - 1, -1, -1)
+    steps, anti = (table @ strides for table in _shape_table(d)[4:])
+    return shapes, values, (values * steps[shapes]).sum(axis=1) + (n - 1) * anti[shapes]
+
+
+def _square_views(d: int, n: int, squares: np.ndarray) -> list[SquareView]:
+    """The SquareView of each square index."""
+    _, ids, row_signs, col_signs, *_ = _shape_table(d)
+    shapes, values, origins = _decode(d, n, squares)
+    strides = n ** np.arange(d - 1, -1, -1)
+    rows, cols = (signs[shapes] @ strides for signs in (row_signs, col_signs))
+    maps = zip(shapes.tolist(), values.tolist(), origins.tolist(), rows.tolist(), cols.tolist())
+    return [SquareView(n, ids[s].format(*v, m=n - 1), d, *m) for s, v, *m in maps]
 
 
 def _check_order(order: int) -> None:
     if order < 2:
         raise ValueError(f"order must be at least 2, got {order}")
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} above array cap {MAX_ORDER}")
 
 
-def _whole_box(dimension: int, order: int) -> tuple[tuple[str, ...], int, tuple[int, ...]]:
-    """The whole array as a box: local axis x is global axis x, with stride n**(d-1-x)."""
-    strides = tuple(order ** (dimension - 1 - x) for x in range(dimension))
-    return tuple(AXIS_NAMES[:dimension]), 0, strides
+def _faces(names: tuple[str, ...], steps: tuple[np.ndarray, ...], value: str) -> Iterator[tuple]:
+    """The face kinds of a k-box as (label, local axis names, steps, fixed step, anti step).
 
-
-def _faces(
-    n: int, names: tuple[str, ...], origin: int, steps: tuple[int, ...]
-) -> Iterator[tuple[str, tuple[str, ...], int, tuple[int, ...]]]:
-    """The (k-1)-boxes of a k-box as (label, local axis names, origin, steps).
-
-    names labels the box's k local axes and steps holds their steps.
-    A face fixes local axis a to v, or ties local axes a<b equal or anti;
-    the tied pair becomes the face's first local axis and the remaining
-    axes follow in order.
+    A face fixes local axis a to a value v, which moves the origin by v
+    times its fixed step, or ties local axes a<b equal or anti, an anti tie
+    moving it by n-1 times its anti step (module docstring).  Its label
+    reads value for v and {m} for n-1.
     """
-    k = len(names)
+    k, zero = len(names), 0 * steps[0]
     for a in range(k):
-        sub_names, sub_steps = names[:a] + names[a + 1 :], steps[:a] + steps[a + 1 :]
-        for v in range(n):
-            yield f"{names[a]}={v}", sub_names, origin + v * steps[a], sub_steps
+        yield f"{names[a]}={value}", names[:a] + names[a + 1 :], steps[:a] + steps[a + 1 :], steps[a], zero
     for a, b in combinations(range(k), 2):
         rest = [x for x in range(k) if x not in (a, b)]
         sub_names = (names[a] + names[b], *(names[x] for x in rest))
         rest_steps = tuple(steps[x] for x in rest)
-        yield f"{names[a]}={names[b]}", sub_names, origin, (steps[a] + steps[b], *rest_steps)
-        # anti: x_b = n-1 - x_a
-        anti_origin, anti_step = origin + (n - 1) * steps[b], steps[a] - steps[b]
-        yield f"{names[a]}+{names[b]}={n - 1}", sub_names, anti_origin, (anti_step, *rest_steps)
+        yield f"{names[a]}={names[b]}", sub_names, (steps[a] + steps[b], *rest_steps), zero, zero
+        yield f"{names[a]}+{names[b]}={{m}}", sub_names, (steps[a] - steps[b], *rest_steps), zero, steps[b]

@@ -22,8 +22,7 @@ from pandiag.verify import (
     Line,
     _kept_kinds,
     _line_cover,
-    _square_at,
-    _square_coords,
+    _shape_table,
     enumerate_cubes,
     enumerate_lines,
     enumerate_squares,
@@ -46,6 +45,13 @@ def test_square_counts():
 )
 def test_enumerators_reject_orders_below_2(enumerate_, args):
     with pytest.raises(ValueError, match="order must be at least 2"):
+        enumerate_(*args)
+
+
+@pytest.mark.parametrize("enumerate_, args", [(enumerate_squares, (4, 102)), (enumerate_cubes, (102,))])
+def test_enumerators_reject_orders_above_the_array_cap(enumerate_, args):
+    # no array of that order can be built, and the squares' flat cells would pass int32
+    with pytest.raises(ValueError, match="order 102 above array cap 101"):
         enumerate_(*args)
 
 
@@ -296,7 +302,14 @@ def _seed_index(axes, r, c, n):
     return tuple(index)
 
 
-@pytest.mark.parametrize("d, n", [(2, 5), (3, 5), (3, 11), (4, 5), (4, 17)])
+SQUARE_POINTS = (
+    [(2, 2), (2, 5)]
+    + [(3, n) for n in (2, 3, 4, 5, 6, 7, 11)]
+    + [(4, n) for n in (2, 3, 4, 5, 6, 7, 17, 41)]
+)
+
+
+@pytest.mark.parametrize("d, n", SQUARE_POINTS)
 def test_squares_match_seed_builders(d, n):
     squares = enumerate_squares(d, n)
     seed = _seed_squares(d, n)
@@ -308,7 +321,7 @@ def test_squares_match_seed_builders(d, n):
     rows, cols = np.arange(n)[:, None], np.arange(n)[None, :]
     for sq, (_, axes) in zip(squares, seed):
         assert np.array_equal(sq.materialize(values), values[_seed_index(axes, rows, cols, n)])
-        for r, c in ((0, 0), (0, n - 1), (n - 1, 2), (3, 1)):
+        for r, c in ((0, 0), (0, n - 1), (n - 1, 2 % n), (3 % n, 1)):
             assert sq.embed(r, c) == _seed_index(axes, r, c, n)
 
 
@@ -334,22 +347,7 @@ def test_slice_spec_and_square_view_agree():
         assert np.array_equal(slice_values(values, spec), squares[square_id].materialize(values))
 
 
-# The scan's square table and failure naming against enumerate_squares.
-
-SQUARE_POINTS = [(2, 2), (2, 5), (3, 2), (3, 11), (4, 2), (4, 5), (4, 17)]
-
-
-@pytest.mark.parametrize("d, n", SQUARE_POINTS)
-def test_square_at_descends_to_every_square(d, n):
-    squares = enumerate_squares(d, n)
-    assert [_square_at(d, n, s) for s in range(len(squares))] == list(squares)
-
-
-@pytest.mark.parametrize("d, n", [*SQUARE_POINTS, (4, 41)])
-def test_square_coords_are_the_square_views(d, n):
-    maps = np.stack(_square_coords(d, n)[:3], axis=1) @ (n ** np.arange(d - 1, -1, -1))
-    expected = [(sq.origin, sq.row_step, sq.col_step) for sq in enumerate_squares(d, n)]
-    assert maps.tolist() == [list(m) for m in expected]
+# Failure naming decodes the failing square's index alone.
 
 
 def test_failing_scan_builds_no_square_table():
@@ -435,6 +433,17 @@ def test_line_cover_closed_form_counts():
         assert len(build_cover(4, n).kinds) == 16 * n**2 + 48 * n + 56, n
     for d in (2, 3, 4):
         assert len(build_cover(d, 2).kinds) == 4 * len(enumerate_squares(d, 2)), d
+
+
+@pytest.mark.parametrize("d, coefficients", [(2, [4]), (3, [12, 9]), (4, [56, 48, 16])])
+def test_family_counts_follow_from_the_shape_table(d, coefficients):
+    # a shape whose levels fix j axes has n**j squares, each with the shape's kept kinds
+    _, _, row_signs, col_signs, fixed, _ = _shape_table(d)
+    fixing = (fixed != 0).any(axis=2).sum(axis=1)
+    kept = _kept_kinds(row_signs, col_signs).sum(axis=1)
+    assert np.bincount(fixing, weights=kept).astype(int).tolist() == coefficients
+    # order 2 keeps all four kinds of every square
+    assert (4 * 2**fixing).sum() == 4 * len(enumerate_squares(d, 2))
 
 
 # The line census: the distinct lines of each direction, counted off the
@@ -545,7 +554,7 @@ def test_step_class_counts(d, orders, classes):
 def test_kept_kinds_have_distinct_steps(d, classes):
     # two kept (shape, kind) with one kind and one pair of steps would share a
     # direction and relations, and the later one would have been dropped
-    _, row_signs, col_signs, _ = _square_coords(d, 1)
+    _, _, row_signs, col_signs, _, _ = _shape_table(d)
     shape, kind = np.nonzero(_kept_kinds(row_signs, col_signs))
     steps = zip(kind.tolist(), row_signs[shape].tolist(), col_signs[shape].tolist())
     keys = {(k, *r, *c) for k, r, c in steps}
