@@ -347,7 +347,30 @@ def test_slice_spec_and_square_view_agree():
         assert np.array_equal(slice_values(values, spec), squares[square_id].materialize(values))
 
 
-# Failure naming decodes the failing square's index alone.
+# Failure naming decodes the failing square's index alone, and the cover
+# decodes the squares of its kept families again for their origins.
+
+NAMING_POINTS = [(2, 2), (2, 5), (3, 2), (3, 11), (4, 2), (4, 5), (4, 17)]
+
+
+@pytest.mark.parametrize("d, n", NAMING_POINTS)
+def test_square_at_descends_to_every_square(d, n):
+    # one index decoded alone, as a failing scan names its square, against
+    # the whole table decoded at once
+    squares = enumerate_squares(d, n)
+    assert [verify._square_views(d, n, np.array([s]))[0] for s in range(len(squares))] == list(squares)
+
+
+@pytest.mark.parametrize("d, n", [*NAMING_POINTS, (4, 41)])
+def test_square_coords_are_the_square_views(d, n):
+    cover = _line_cover(d, n)
+    maps = np.array([(sq.origin, sq.row_step, sq.col_step) for sq in enumerate_squares(d, n)])
+    origin, row_step, col_step = maps[cover.squares].T
+    assert np.array_equal(cover.origins, origin)
+    # a line table's 2 x 2 corner fixes both steps of the affine map
+    rows, cols = verify._line_table(n).reshape(2, 4, n, n)[:, cover.kinds, :2, :2]
+    expected = rows * row_step[:, None, None] + cols * col_step[:, None, None]
+    assert np.array_equal(cover.offsets[:, :2, :2][cover.classes], expected)
 
 
 def test_failing_scan_builds_no_square_table():
