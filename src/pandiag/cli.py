@@ -12,20 +12,22 @@ grid and csv renderers, splices in the digits of every cell, so the
 bytes are those of json.dumps of the int list or of a string join.  Each
 cell takes a NUL-padded byte row: a grid whose values span at most half
 as many numbers as it has cells, as a latin grid spells n, reads each
-cell's row from a table of those numbers' rows, and any other grid has
-its digits written cell by cell; the NULs are then dropped a block at a
-time, in place.  The reader parses a values list of plain digits and
-commas (no empty token, no leading zero, at most 18 digits per token, in
-an ASCII text with no backslash) with numpy, in blocks of about
-_READ_BLOCK characters into one array sized by the comma count, and
-hands json.loads the rest with a placeholder string in its place; any
-other text, or a values key that does not end up holding the
-placeholder, goes to json.loads whole, with the same result.  When
-json.loads refuses the rest, or the list is cut off (no "]" after it)
-but plain up to its last comma, the error comes from a short text, the
-header with the placeholder or with the last token alone, and is moved
-back to its place in the whole text: its message, line and column are
-json.loads's for the whole text, and no value of a cut list is kept.
+cell's row from a table of those numbers' rows; any other grid, such as
+a magic one, ORs two rows per cell, its head's v // 10**4 and its tail's
+v % 10**4, from two small tables (more for values of nine digits or
+more); the NULs are then dropped a block at a time, in place.  The
+reader parses a values list of plain digits and commas (no empty token,
+no leading zero, at most 18 digits per token, in an ASCII text with no
+backslash) with numpy, in blocks of about _READ_BLOCK characters into
+one array sized by the comma count, and hands json.loads the rest with a
+placeholder string in its place; any other text, or a values key that
+does not end up holding the placeholder, goes to json.loads whole, with
+the same result.  When json.loads refuses the rest, or the list is cut
+off (no "]" after it) but plain up to its last comma, the error comes
+from a short text, the header with the placeholder or with the last
+token alone, and is moved back to its place in the whole text: its
+message, line and column are json.loads's for the whole text, and no
+value of a cut list is kept.
 
 A grid is held once: the arrays that build, compose and the reader make
 are frozen and kept as they are by LatinArray, MagicArray and
@@ -61,13 +63,14 @@ from .lattice import (
     SliceSpec,
     Tie,
     _own_grid,
+    _read_codes,
     build,
     slice_values,
     value_grid,
 )
 from .magic import MagicArray, compose_checked
 from .modarith import MAX_MODULUS
-from .orthogonal import ParamMatrix, check_orthogonal_fast, determinant_mod, verify_orthogonal_brute
+from .orthogonal import ParamMatrix, _codes_distinct, check_orthogonal_fast, determinant_mod
 from .params import DIMENSIONS, ParamVector, iter_feasible
 from .verify import verify_latin_pandiagonal, verify_magic_pandiagonal
 
@@ -85,6 +88,12 @@ _READ_BLOCK = 1 << 18
 
 # bytes of padded text the encoder strips of NULs at a time
 _PACK_BLOCK = 1 << 16
+
+# values per digit group: a wide value's row ORs one row per group of four digits
+_GROUP = 10**4
+
+# cells whose digit rows the encoder makes at a time from the group tables
+_ROW_CHUNK = 1 << 14
 
 KINDS = ("latin", "magic")
 
@@ -203,10 +212,17 @@ def _plain_document(text: str) -> dict | None:
     run, and the error is moved back to its place.
     """
     key = text.find('"values":[')
-    if key < 0 or not text.isascii() or "\\" in text or f'"{_PLACEHOLDER}"' in text:
+    if key < 0 or not text.isascii() or "\\" in text:
         return None
     lo = key + len('"values":[')
     hi = text.find("]", lo)
+    quoted = f'"{_PLACEHOLDER}"'
+    if hi < 0:
+        spelled = quoted in text
+    else:  # a plain list holds no quote, so only the text around a closed one is searched
+        spelled = text.find(quoted, 0, lo) >= 0 or text.find(quoted, hi) >= 0
+    if spelled:
+        return None
     count = text.count(",", lo, len(text) if hi < 0 else hi) + 1
     _charge("the document", 2 * len(text) + 8 * count)  # the text as read and as decoded, and the cells
     if hi < 0:
@@ -327,7 +343,8 @@ def _encode(flat: np.ndarray, sep: str, row: int = 0, offset: int = 0) -> str:
     digits right-aligned behind NUL padding, then its terminators.  When
     offset .. top spans at most half as many values as there are cells, as
     in a latin grid, the rows of offset .. top are written once and each
-    cell takes its value's row; otherwise each cell's digits are written.
+    cell takes its value's row; otherwise each cell's row is made from the
+    rows of its four-digit groups (_digit_rows).
     """
     top = int(flat.max()) + offset
     width = len(str(top))
@@ -340,18 +357,52 @@ def _encode(flat: np.ndarray, sep: str, row: int = 0, offset: int = 0) -> str:
         # indexing, not ndarray.take, which copies a read-only index such as a frozen grid
         buf = table.view(f"V{table.shape[1]}")[:, 0][flat].view(np.uint8).reshape(flat.size, -1)
     else:
-        buf = np.zeros((flat.size, size), dtype=np.uint8)
-        # the one temporary takes the smallest unsigned type that holds top
-        v = np.add(flat, offset, dtype=np.min_scalar_type(top), casting="unsafe")
-        _write_digits(v, buf[:, :width])
-        del v
-        buf[:, width] = ord(sep)
+        buf = _digit_rows(flat, offset, top, size, sep)
     if row:
         buf[row - 1 :: row, width] = ord("\n")
         buf[row * row - 1 : -1 : row * row, width + 1] = ord("\n")
     else:
         buf[-1, width] = 0
     return _unpadded(buf.reshape(-1))
+
+
+def _digit_rows(flat: np.ndarray, offset: int, top: int, size: int, sep: str) -> np.ndarray:
+    """The NUL-padded rows of flat + offset, at least size bytes each: digits, then sep at column width.
+
+    A value is split into groups of four digits, v = sum_j g_j * _GROUP**j,
+    and its row is the OR of one row per group.  The table of group 0
+    holds each g's digits behind NULs and sep after them; the table of
+    group j > 0 holds the digits of g * _GROUP**j, whose zeros the lower
+    groups' digits OR over ("0" | digit == digit), and an empty row 0.
+    Below 10**8 that is two tables, the tail's 10**4 rows and the head's
+    top // 10**4 + 1.  The rows are whole 8-byte words, written through a
+    strided view of the row buffer, so a buffer row takes at least that
+    many bytes; the words and every other temporary are _ROW_CHUNK cells.
+    """
+    width = len(str(top))
+    words = -(-(width + 1) // 8)
+    tables = [np.zeros((_GROUP, words), dtype=np.uint64)]
+    tail = tables[0].view(np.uint8)
+    # values narrower than four digits keep only the low digits of the rows past top, which none reads
+    _write_digits(np.arange(_GROUP, dtype=np.uint16), tail[:, max(0, width - 4) : width])
+    tail[:, width] = ord(sep)
+    while top >= _GROUP ** len(tables):
+        scale = _GROUP ** len(tables)
+        table = np.zeros((min(_GROUP, top // scale + 1), words), dtype=np.uint64)
+        _write_digits(np.arange(1, len(table), dtype=np.uint64) * scale, table.view(np.uint8)[1:, :width])
+        tables.append(table)
+    buf = np.zeros((flat.size, max(size, 8 * words)), dtype=np.uint8)
+    rows = np.ndarray((flat.size, words), dtype=np.uint64, buffer=buf, strides=(buf.shape[1], 8))
+    kind, last = np.min_scalar_type(max(top, _GROUP)), len(tables) - 1
+    for lo in range(0, flat.size, _ROW_CHUNK):
+        value = np.add(flat[lo : lo + _ROW_CHUNK], offset, dtype=kind, casting="unsafe")
+        words_of = tables[0].take(value % _GROUP, axis=0)
+        for j in range(1, last + 1):
+            group = value // _GROUP**j
+            # the top group is below _GROUP already
+            words_of |= tables[j].take(group if j == last else group % _GROUP, axis=0)
+        rows[lo : lo + _ROW_CHUNK] = words_of
+    return buf
 
 
 def _unpadded(padded: np.ndarray) -> str:
@@ -544,6 +595,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_orthogonal(args: argparse.Namespace) -> int:
+    """Print the family's determinant and the verdict of each test run, --fast, --brute or both.
+
+    The brute test reads the family's base-n codes into one grid
+    (lattice._read_codes, identity relabelings) and marks each code in a
+    byte, as verify_orthogonal_brute does for built arrays; it builds no
+    digit array.
+    """
     vectors = _parse_family(args.params_list, args.order)
     matrix = _wrap_input(lambda: ParamMatrix(vectors))
     _check_order_cap(matrix.dimension, args.order, args.force)
@@ -551,7 +609,7 @@ def _cmd_orthogonal(args: argparse.Namespace) -> int:
     run_fast = args.fast or not args.brute
     run_brute = args.brute or not args.fast
     if run_brute:
-        # d built arrays, their superposed codes and one temporary
+        # d + 2 grids bound the codes and their byte marks (tracemalloc peak at d=3 n=101: 1.13 grids)
         _check_memory(matrix.dimension, args.order, matrix.dimension + 2)
     det, residue = determinant_mod(matrix)
     print(f"det={det}")
@@ -566,8 +624,7 @@ def _cmd_orthogonal(args: argparse.Namespace) -> int:
         print(f"fast={'orthogonal' if fast else 'not-orthogonal'}")
         verdicts.append(fast)
     if run_brute:
-        arrays = [build(v) for v in matrix.rows]
-        brute = verify_orthogonal_brute(arrays)
+        brute = _codes_distinct(_read_codes(matrix.rows))
         print(f"brute={'orthogonal' if brute else 'not-orthogonal'}")
         verdicts.append(brute)
     return 0 if all(verdicts) else 1
@@ -578,7 +635,8 @@ def _cmd_magic(args: argparse.Namespace) -> int:
     matrix = _wrap_input(lambda: ParamMatrix(vectors))
     dimension = matrix.dimension
     _check_order_cap(dimension, args.order, args.force)
-    # d digit arrays, and the superposition's running code, its temporary and the composed grid
+    # d + 3 grids bound the composed grid, the check's scratch and the encoder's padded rows
+    # (tracemalloc peak at d=3 n=101, text included: 2.9 grids with --check, 3.0 for grid text)
     _check_memory(dimension, args.order, dimension + 3, args.order**dimension)
     perms = _parse_perms(args.perms, dimension, args.order) if args.perms else None
     try:

@@ -7,7 +7,11 @@ right.  Values live in [0, n-1] as int64.
 build sums the linear form without reducing any cell by arithmetic: a
 sum of two residues lies below 2n, so its residue is read from the
 doubled table arange(2n) % n, first for the sub-grid over axes 1 .. d-1
-and then for the slabs of axis 0, a few at a time.
+and then for each slab of axis 0, from the window of n entries that
+starts at that slab's residue.  The same read makes the base-n code of
+several linear forms at once (_read_codes): each form's table is
+relabeled and scaled to its digit's worth, so a magic array's digits are
+read straight into one grid.
 
 Every 2-D view, a SliceSpec as well as a constituent square of the
 verifier, is a plane through the grid that never wraps, so it is one flat
@@ -31,10 +35,6 @@ from .params import DIMENSIONS, ParamVector
 MAX_ORDER = 101
 
 AXIS_NAMES = "ijkl"
-
-# index cells per take when build reads whole slabs of the grid, unless one slab is larger
-_SLAB_CELLS = 1 << 14
-
 
 # grids this module froze itself, by id; an entry dies with its grid, so an id
 # found here names the very array that was frozen
@@ -151,25 +151,52 @@ class SliceSpec:
 def build(v: ParamVector) -> LatinArray:
     """Materialize the array of sum(alpha_m * x_m) mod n over all coordinates.
 
-    Slab x_0 is read from the residue table at sub + alpha_0*x_0 mod n,
-    where sub is the sub-grid over axes 1 .. d-1, straight into the grid.
-    Besides the grid the build holds sub and one index of whole slabs:
-    as many as fit in _SLAB_CELLS cells, or one larger slab.
+    The one-vector case of _read_codes: slab x_0 is the window of the
+    residue table that starts at alpha_0*x_0 mod n, read at sub, the
+    sub-grid over axes 1 .. d-1, straight into the grid.
     """
-    n, d = v.order, v.dimension
+    return LatinArray(_read_codes((v,)), v)
+
+
+def _read_codes(
+    vectors: Sequence[ParamVector], perms: Sequence[Sequence[int]] | None = None
+) -> np.ndarray:
+    """The frozen grid of sum_j T_j[alpha_j . x mod n] for k vectors of one order n and dimension d.
+
+    T_j = perm_j[arange(2n) % n] * n**(k-1-j), with perm_j the identity
+    when perms is None: cell x holds the base-n numeral of the relabeled
+    digits perm_j(alpha_j . x mod n), the first vector most significant.
+    Each vector's sub-grid over axes 1 .. d-1 is read from the unscaled
+    residue table.  Digit j of slab x_0 is then the window of T_j that
+    starts at alpha_j0*x_0 mod n, read at sub_j: one take per slab and
+    digit, the first straight into the grid and every later one through
+    one slab-sized temporary added in place.  Besides the grid the read
+    holds the k sub-grids and that temporary.
+    """
+    n, d = vectors[0].order, vectors[0].dimension
     if n > MAX_ORDER:
         raise ValueError(f"order {n} above array cap {MAX_ORDER}")
-    table = np.arange(2 * n, dtype=np.int64) % n
-    first, *rest = (a * np.arange(n, dtype=np.int64) % n for a in v.alphas)
-    sub = rest.pop()
-    for residues in reversed(rest):
-        sub = table.take(np.add.outer(residues, sub))
+    k = len(vectors)
+    residue = np.arange(2 * n, dtype=np.int64) % n
+    labels = [np.arange(n)] * k if perms is None else [_bijection(p, n) for p in perms]
+    tables = [label[residue] * n ** (k - 1 - j) for j, label in enumerate(labels)]
+    starts, subs = [], []
+    for v in vectors:
+        first, *rest = (a * np.arange(n, dtype=np.int64) % n for a in v.alphas)
+        sub = rest.pop()
+        for residues in reversed(rest):
+            sub = residue.take(np.add.outer(residues, sub))
+        starts.append(first.tolist())
+        subs.append(sub)
     grid = np.empty((n,) * d, dtype=np.int64)
-    step = max(1, _SLAB_CELLS // sub.size)
-    for x0 in range(0, n, step):
-        # under mode="raise" take writes through a buffer; every index is below 2n
-        table.take(np.add.outer(first[x0 : x0 + step], sub), out=grid[x0 : x0 + step], mode="clip")
-    return LatinArray(_own_grid(grid), v)
+    digit = np.empty_like(subs[0]) if k > 1 else None
+    (table, start, sub), *later = zip(tables, starts, subs)
+    for x0, slab in enumerate(grid):
+        # under mode="raise" take writes through a buffer; every index is below n
+        table[start[x0] : start[x0] + n].take(sub, out=slab, mode="clip")
+        for t, f, s in later:
+            slab += t[f[x0] : f[x0] + n].take(s, out=digit, mode="clip")
+    return _own_grid(grid)
 
 
 def slice_view(a: LatinArray, spec: SliceSpec) -> np.ndarray:
@@ -230,11 +257,15 @@ def _local_coords(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def permute_symbols(a: LatinArray, perm: Sequence[int]) -> LatinArray:
     """Relabel symbols through a bijection on [0, n-1]."""
-    n = a.order
+    return LatinArray(_own_grid(_bijection(perm, a.order)[a.values]))
+
+
+def _bijection(perm: Sequence[int], n: int) -> np.ndarray:
+    """perm as an int64 table, after checking that it is a bijection on [0, n-1]."""
     table = np.asarray(perm, dtype=np.int64)
     if table.shape != (n,) or not np.array_equal(np.sort(table), np.arange(n)):
         raise ValueError(f"perm must be a bijection on 0..{n - 1}")
-    return LatinArray(_own_grid(table[a.values]))
+    return table
 
 
 def shift_axis(a: LatinArray, axis: int, amount: int) -> LatinArray:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import LatinArray, _own_grid, build, permute_symbols, value_grid
+from .lattice import LatinArray, _own_grid, _read_codes, build, value_grid
 from .modarith import gcd
 from .orthogonal import ParamMatrix, determinant, superpose, unit_determinant_masks
 from .params import DIMENSIONS, ParamVector, _feasible_blocks, check, count_feasible
@@ -85,13 +85,15 @@ def compose_checked(
     vectors: Sequence[ParamVector],
     perms: Sequence[Sequence[int]] | None = None,
 ) -> MagicArray:
-    """Build digit arrays from vectors, relabel, and compose, checking hypotheses.
+    """Compose the magic array of a family, checking hypotheses.
 
     Each vector must be feasible and the family must pass the determinant
     orthogonality test; failures raise ValueError naming the failed
     hypothesis.  perms optionally relabels the symbols of each digit array
     (one bijection per array) before composing, which preserves both
-    orthogonality and pandiagonality.
+    orthogonality and pandiagonality.  Every digit is read, already
+    relabeled and scaled, from its residue table into the one composed
+    grid (lattice._read_codes); no digit array is built.
     """
     matrix = ParamMatrix(vectors)
     vectors, d, n = matrix.rows, matrix.dimension, matrix.order
@@ -113,8 +115,7 @@ def compose_checked(
         if len(perms) != d:
             raise ValueError(f"need exactly {d} symbol permutations, got {len(perms)}")
         perm_tuples = tuple(tuple(int(x) for x in p) for p in perms)
-    digits = [permute_symbols(build(v), p) for v, p in zip(vectors, perm_tuples)]
-    return MagicArray(_own_grid(superpose(digits)), params=vectors, perms=perm_tuples)
+    return MagicArray(_read_codes(vectors, perm_tuples), params=vectors, perms=perm_tuples)
 
 
 def count_orthogonal_families(dimension: int, order: int) -> int:

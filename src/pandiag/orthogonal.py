@@ -90,7 +90,15 @@ def verify_orthogonal_brute(arrays: Sequence[LatinArray]) -> bool:
     [0, n**d) because LatinArray bounds every value, so they are distinct
     exactly when marking each one in a byte per code leaves none unmarked.
     """
-    code = superpose(arrays)
+    return _codes_distinct(superpose(arrays))
+
+
+def _codes_distinct(code: np.ndarray) -> bool:
+    """True when the codes, code.size values in [0, code.size), are distinct.
+
+    Each code is marked in a byte per code; they are distinct exactly when
+    none is left unmarked.
+    """
     seen = np.zeros(code.size, dtype=bool)
     seen[code.ravel()] = True
     return bool(seen.all())

@@ -484,7 +484,7 @@ def _line_cover(dimension: int, order: int) -> _Cover:
     n, d = order, dimension
     _, _, row_signs, col_signs, *_ = _shape_table(d)
     shapes = _decode(d, n, np.arange(_square_count(d, n)))[0]
-    kept = _kept_kinds(row_signs, col_signs) if n > 2 else np.ones((len(row_signs), 4), dtype=bool)
+    kept = _shape_kept(d) if n > 2 else np.ones((len(row_signs), 4), dtype=bool)
     square, kinds = np.divmod(np.flatnonzero(kept[shapes]).astype(np.int32), 4)
     class_of = (np.cumsum(kept) - 1).astype(np.int16).reshape(kept.shape)
     shape, kind = np.nonzero(kept)
@@ -514,6 +514,15 @@ def _line_cover(dimension: int, order: int) -> _Cover:
         if isinstance(field, np.ndarray):
             field.flags.writeable = False
     return cover
+
+
+@lru_cache(maxsize=None)
+def _shape_kept(dimension: int) -> np.ndarray:
+    """_kept_kinds of the shapes of _shape_table(dimension), read-only because it is shared."""
+    _, _, row_signs, col_signs, *_ = _shape_table(dimension)
+    kept = _kept_kinds(row_signs, col_signs)
+    kept.flags.writeable = False
+    return kept
 
 
 def _kept_kinds(sr: np.ndarray, sc: np.ndarray) -> np.ndarray:

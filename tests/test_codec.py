@@ -164,6 +164,29 @@ def test_render_blocks_matches_reference_on_both_paths(top, offset):
     assert seen == ({"table", "loop"} if top else {"table"})
 
 
+@pytest.mark.parametrize("offset", [0, 1])
+@pytest.mark.parametrize("top", [9_999, 10_000, 10_001, 10**6, 10**9 + 7])
+def test_encode_matches_join_across_digit_groups(top, offset):
+    """Tops either side of one four-digit group and past two, with values next to 10**4 and 10**8.
+
+    A 12**3 grid takes its rows from the group tables; a 28**3 grid, where
+    top + 1 is at most half its cells, from the table of its values.
+    """
+    rng = np.random.default_rng(top + offset)
+    near = [0, 9_998, 9_999, 10_000, 10_001, 99_999_999, 10**8]
+    for n in (12, 28) if 2 * (top + 1) <= 28**3 else (12,):
+        values = rng.integers(0, top - offset, (n,) * 3, endpoint=True)
+        values.flat[: len(near)] = [min(x, top) - offset if x >= offset else 0 for x in near]
+        values.flat[rng.integers(len(near), values.size)] = top - offset
+        flat = values.ravel()
+        got, paths = encoder_paths(lambda: cli._encode(flat, ",", 0, offset))
+        assert got == ",".join(str(x + offset) for x in flat.tolist())
+        for sep in (" ", ","):
+            got, _ = encoder_paths(lambda: cli.render_blocks(values, sep, offset))
+            assert got == reference_blocks(values, sep, offset)
+        assert paths == ["table" if 2 * (top + 1) <= values.size else "loop"]
+
+
 def test_text_across_pack_blocks_matches_reference():
     """A d=3 n=101 document and grid, megabytes of text over many blocks."""
     v = ParamVector((1, 2, 4), 101)
@@ -280,6 +303,10 @@ def mutate(data, text):
 @SETTINGS
 @given(documents(), st.data())
 @example('{"dimension":2,"order":2,"values":[0,1,1,0]}', None)
+# the placeholder as the top-level values before a nested list, after it, and after one that never closes
+@example('{"dimension":2,"order":2,"values":"<values>","note":{"values":[0,1,1,0]}}', None)
+@example('{"note":{"values":[0,1,1,0]},"dimension":2,"order":2,"values":"<values>"}', None)
+@example('{"note":{"values":[0,1,1,0},"dimension":2,"order":2,"values":"<values>"}', None)
 def test_fast_reader_agrees_with_json_loads(text, data):
     assert_paths_agree(mutate(data, text) if data is not None else text)
 

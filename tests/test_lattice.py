@@ -19,6 +19,7 @@ from pandiag.lattice import (
     LatinArray,
     SliceSpec,
     Tie,
+    _read_codes,
     build,
     permute_symbols,
     shift_axis,
@@ -26,6 +27,7 @@ from pandiag.lattice import (
     slice_view,
 )
 from pandiag.magic import MagicArray, compose_checked, decompose
+from pandiag.orthogonal import superpose
 from pandiag.params import ParamVector, scale
 
 
@@ -81,6 +83,37 @@ def test_build_holds_one_grid_and_two_slabs(alphas, n):
     # the sub-grid over axes 1.. and one index slab; a second full int64 temporary fails this
     slab = grid.nbytes // n
     assert peak < grid.nbytes + 2 * slab + (64 << 10), f"peak {peak / 2**20:.2f} MiB"
+
+
+@st.composite
+def code_cases(draw):
+    """d vectors of one prime or composite order and a seed for their relabelings."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 9, 11, 12, 13, 25]))
+    vectors = [ParamVector(tuple(draw(st.integers(1, n - 1)) for _ in range(d)), n) for _ in range(d)]
+    return vectors, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(code_cases())
+@example(([ParamVector((1, 1), 2)] * 2, 0))
+@example(([ParamVector((1, 5, 7, 11), 12)] * 4, 1))
+@example(([ParamVector((1, 2, 3, 4), 25), ParamVector((2, 3, 4, 6), 25)] * 2, 2))
+@example(([ParamVector((1, 2, 4), 9), ParamVector((4, 6, 3), 9), ParamVector((8, 1, 5), 9)], 3))
+@example(([ParamVector((5, 1), 6), ParamVector((1, 5), 6)], 4))
+def test_read_codes_equal_superposed_relabeled_builds(case):
+    """The code reader against superpose of permute_symbols of build, and build against the linear form."""
+    vectors, seed = case
+    n, d = vectors[0].order, vectors[0].dimension
+    rng = np.random.default_rng(seed)
+    perms = [rng.permutation(n) for _ in vectors]
+    x = np.indices((n,) * d)
+    builds = [build(v) for v in vectors]
+    codes = _read_codes(vectors, perms)
+    for v, a in zip(vectors, builds):
+        assert np.array_equal(a.values, np.tensordot(v.alphas, x, 1) % n)
+    assert codes.dtype == np.int64 and not codes.flags.writeable
+    assert np.array_equal(codes, superpose([permute_symbols(a, p) for a, p in zip(builds, perms)]))
 
 
 def test_build_rejects_large_order():

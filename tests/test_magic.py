@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -133,6 +134,20 @@ def test_compose_checked_applies_perms():
             [ParamVector((1, 2), 5), ParamVector((1, 3), 5)],
             [[0, 0, 1, 2, 3], [0, 1, 2, 3, 4]],
         )
+
+
+def test_compose_checked_holds_one_grid():
+    """Every digit is read relabeled into the composed grid: no digit array, no running code."""
+    family = [ParamVector(alphas, 101) for alphas in ((1, 2, 4), (1, 2, 41), (1, 3, 22))]
+    perms = [np.random.default_rng(q).permutation(101) for q in range(3)]
+    tracemalloc.start()
+    try:
+        m = compose_checked(family, perms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.values.nbytes == 101**3 * 8
+    assert peak <= 1.5 * m.values.nbytes, f"peak {peak / m.values.nbytes:.2f} grids"
 
 
 def test_composed_array_tiles():
