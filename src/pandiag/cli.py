@@ -34,10 +34,10 @@ are frozen and kept as they are by LatinArray, MagicArray and
 ArrayDocument, which copy only arrays that come from their callers.
 
 Generate, magic and orthogonal --brute refuse, --force or not, a run
-whose estimated arrays and text pass MEMORY_BUDGET, before building;
-a 2-D slice's text is not charged.  Verify and slice refuse a document
-the same way before parsing any value: its text twice, as read and as
-decoded, and the bytes each value will take.
+whose grids, padded rows and text would pass MEMORY_BUDGET, before
+building (_check_memory).  Verify and slice refuse a document the same
+way before parsing any value: its text twice, as read and as decoded,
+and the bytes each value will take.
 
 Exit codes: 0 success or property verified, 1 well-formed input with a
 negative answer (failed verification, infeasible or non-orthogonal
@@ -77,8 +77,11 @@ from .verify import verify_latin_pandiagonal, verify_magic_pandiagonal
 # d=4 arrays grow as n**4; past 41 the CLI wants explicit --force
 DEFAULT_ORDER_CAPS = {2: 101, 3: 101, 4: 41}
 
-# bytes of int64 arrays and output text that generate, magic and orthogonal --brute may plan to hold
+# bytes that generate, magic and orthogonal --brute may plan to hold
 MEMORY_BUDGET = 1 << 30
+
+# bytes a cell held besides the text: the int64 codes, --brute's marks, --check's scan (peaks in CHANGES.md)
+_CELL_BYTES = {"codes": 8, "marks": 1, "check": 3}
 
 # stands in for a plain values list while json.loads reads the header
 _PLACEHOLDER = "<values>"
@@ -339,25 +342,20 @@ def _encode(flat: np.ndarray, sep: str, row: int = 0, offset: int = 0) -> str:
     """Decimal text of flat + offset (non-negative int64), each value followed by its terminator.
 
     row=0 joins the values by sep (a JSON list body); row=n lays them out
-    as render_blocks does.  Each value fills one fixed-width byte row:
-    digits right-aligned behind NUL padding, then its terminators.  When
-    offset .. top spans at most half as many values as there are cells, as
-    in a latin grid, the rows of offset .. top are written once and each
-    cell takes its value's row; otherwise each cell's row is made from the
-    rows of its four-digit groups (_digit_rows).
+    as render_blocks does.  Each value fills one byte row (_row_layout),
+    digits right-aligned behind NUL padding and then its terminators, read
+    from a table of offset .. top or made from its digit groups (_digit_rows).
     """
     top = int(flat.max()) + offset
-    width = len(str(top))
-    size = width + (2 if row else 1)
-    if 2 * (top + 1) <= flat.size:
-        # rows padded to a power of two bytes, which numpy indexes about four times faster than 3 or 5
-        table = np.zeros((top + 1 - offset, 1 << (size - 1).bit_length()), dtype=np.uint8)
+    width, stride, tabled = _row_layout(top, flat.size, row)
+    if tabled:
+        table = np.zeros((top + 1 - offset, stride), dtype=np.uint8)
         _write_digits(np.arange(offset, top + 1, dtype=np.min_scalar_type(top)), table[:, :width])
         table[:, width] = ord(sep)
         # indexing, not ndarray.take, which copies a read-only index such as a frozen grid
-        buf = table.view(f"V{table.shape[1]}")[:, 0][flat].view(np.uint8).reshape(flat.size, -1)
+        buf = table.view(f"V{stride}")[:, 0][flat].view(np.uint8).reshape(flat.size, -1)
     else:
-        buf = _digit_rows(flat, offset, top, size, sep)
+        buf = _digit_rows(flat, offset, top, stride, sep)
     if row:
         buf[row - 1 :: row, width] = ord("\n")
         buf[row * row - 1 : -1 : row * row, width + 1] = ord("\n")
@@ -366,8 +364,22 @@ def _encode(flat: np.ndarray, sep: str, row: int = 0, offset: int = 0) -> str:
     return _unpadded(buf.reshape(-1))
 
 
-def _digit_rows(flat: np.ndarray, offset: int, top: int, size: int, sep: str) -> np.ndarray:
-    """The NUL-padded rows of flat + offset, at least size bytes each: digits, then sep at column width.
+def _row_layout(top: int, cells: int, row: int) -> tuple[int, int, bool]:
+    """The digits of top, the bytes of a padded row, and whether the rows come from a table of the values.
+
+    A row holds digits and a terminator, or two in blocks (row > 0).  Table
+    rows take a power of two bytes, which numpy indexes about four times
+    faster than 3 or 5; other rows take whole 8-byte words.
+    """
+    width = len(str(top))
+    size = width + (2 if row else 1)
+    if 2 * (top + 1) <= cells:
+        return width, 1 << (size - 1).bit_length(), True
+    return width, max(size, -(-(width + 1) // 8) * 8), False
+
+
+def _digit_rows(flat: np.ndarray, offset: int, top: int, stride: int, sep: str) -> np.ndarray:
+    """The NUL-padded rows of flat + offset, stride bytes each: digits, then sep at column width.
 
     A value is split into groups of four digits, v = sum_j g_j * _GROUP**j,
     and its row is the OR of one row per group.  The table of group 0
@@ -376,11 +388,11 @@ def _digit_rows(flat: np.ndarray, offset: int, top: int, size: int, sep: str) ->
     groups' digits OR over ("0" | digit == digit), and an empty row 0.
     Below 10**8 that is two tables, the tail's 10**4 rows and the head's
     top // 10**4 + 1.  The rows are whole 8-byte words, written through a
-    strided view of the row buffer, so a buffer row takes at least that
-    many bytes; the words and every other temporary are _ROW_CHUNK cells.
+    strided view of the row buffer; the words and every other temporary
+    are _ROW_CHUNK cells.
     """
     width = len(str(top))
-    words = -(-(width + 1) // 8)
+    words = stride // 8  # whole words, at most a byte short of stride
     tables = [np.zeros((_GROUP, words), dtype=np.uint64)]
     tail = tables[0].view(np.uint8)
     # values narrower than four digits keep only the low digits of the rows past top, which none reads
@@ -391,7 +403,7 @@ def _digit_rows(flat: np.ndarray, offset: int, top: int, size: int, sep: str) ->
         table = np.zeros((min(_GROUP, top // scale + 1), words), dtype=np.uint64)
         _write_digits(np.arange(1, len(table), dtype=np.uint64) * scale, table.view(np.uint8)[1:, :width])
         tables.append(table)
-    buf = np.zeros((flat.size, max(size, 8 * words)), dtype=np.uint8)
+    buf = np.zeros((flat.size, stride), dtype=np.uint8)
     rows = np.ndarray((flat.size, words), dtype=np.uint64, buffer=buf, strides=(buf.shape[1], 8))
     kind, last = np.min_scalar_type(max(top, _GROUP)), len(tables) - 1
     for lo in range(0, flat.size, _ROW_CHUNK):
@@ -535,10 +547,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.dim is not None and args.dim != len(alphas):
         raise InputError(f"--dim {args.dim} contradicts {len(alphas)} coefficients")
     _check_order_cap(len(alphas), args.order, args.force)
-    # the built grid, held once; a second grid's worth for the encoder's padded digit rows,
-    # at most 8 bytes a cell; and the text of a full document (tracemalloc peaks: 14.8 bytes
-    # a cell for json or grid text at d=4 n=41, 15.0 for json at d=3 n=101)
-    _check_memory(len(alphas), args.order, 2, 0 if args.slice is not None else args.order)
+    held, shown = ("check",) if args.check else (), args.order ** (2 if args.slice is not None else len(alphas))
+    _check_memory(len(alphas), args.order, 1, held, shown, args.order - 1 + args.one_based, args.format)
     v = _wrap_input(lambda: ParamVector(alphas, args.order))
     array = _wrap_input(lambda: build(v))
     if args.check:
@@ -558,9 +568,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     doc = _read_document(args.file)
-    expect = args.expect or (
-        "magic-pandiagonal" if doc.kind == "magic" else "latin-pandiagonal"
-    )
+    expect = args.expect or ("magic-pandiagonal" if doc.kind == "magic" else "latin-pandiagonal")
     if expect == "latin-pandiagonal":
         array_type, verify = LatinArray, verify_latin_pandiagonal
     else:
@@ -609,8 +617,7 @@ def _cmd_orthogonal(args: argparse.Namespace) -> int:
     run_fast = args.fast or not args.brute
     run_brute = args.brute or not args.fast
     if run_brute:
-        # d + 2 grids bound the codes and their byte marks (tracemalloc peak at d=3 n=101: 1.13 grids)
-        _check_memory(matrix.dimension, args.order, matrix.dimension + 2)
+        _check_memory(matrix.dimension, args.order, matrix.dimension, ("marks",))
     det, residue = determinant_mod(matrix)
     print(f"det={det}")
     print(f"det_mod={int(residue)}")
@@ -635,9 +642,8 @@ def _cmd_magic(args: argparse.Namespace) -> int:
     matrix = _wrap_input(lambda: ParamMatrix(vectors))
     dimension = matrix.dimension
     _check_order_cap(dimension, args.order, args.force)
-    # d + 3 grids bound the composed grid, the check's scratch and the encoder's padded rows
-    # (tracemalloc peak at d=3 n=101, text included: 2.9 grids with --check, 3.0 for grid text)
-    _check_memory(dimension, args.order, dimension + 3, args.order**dimension)
+    held, cells = ("check",) if args.check else (), args.order**dimension
+    _check_memory(dimension, args.order, dimension, held, cells, cells - 1 + args.one_based, args.format)
     perms = _parse_perms(args.perms, dimension, args.order) if args.perms else None
     try:
         composed = compose_checked(matrix.rows, perms)
@@ -649,13 +655,7 @@ def _cmd_magic(args: argparse.Namespace) -> int:
         if not report.passed:
             print(f"check failed: {report.first_failure.reason}", file=sys.stderr)
             return 1
-    doc = ArrayDocument(
-        dimension,
-        args.order,
-        composed.values,
-        "magic",
-        tuple(v.alphas for v in matrix.rows),
-    )
+    doc = ArrayDocument(dimension, args.order, composed.values, "magic", tuple(v.alphas for v in matrix.rows))
     _emit(doc, args.format, args.one_based, args.output)
     return 0
 
@@ -666,10 +666,7 @@ def _cmd_slice(args: argparse.Namespace) -> int:
     grid = _wrap_input(lambda: slice_values(doc.values, spec))
     if args.format == "json":
         if doc.kind != "latin":
-            raise InputError(
-                "json slice output is only defined for latin documents;"
-                " use grid or csv"
-            )
+            raise InputError("json slice output is only defined for latin documents; use grid or csv")
         out = ArrayDocument(2, doc.order, grid, "latin")
         _emit(out, "json", args.one_based, args.output)
     else:
@@ -801,9 +798,7 @@ def _claim(fixed: dict, axis: int, binding: int | Tie, token: str) -> None:
     fixed[axis] = binding
 
 
-def _check_order_cap(
-    dimension: int, order: int, force: bool, hard_cap: int = MAX_ORDER
-) -> None:
+def _check_order_cap(dimension: int, order: int, force: bool, hard_cap: int = MAX_ORDER) -> None:
     if dimension not in DIMENSIONS:
         raise InputError(f"dimension must be one of {DIMENSIONS}, got {dimension}")
     cap = DEFAULT_ORDER_CAPS[dimension]
@@ -816,23 +811,28 @@ def _check_order_cap(
         raise InputError(f"order {order} above hard cap {hard_cap}")
 
 
-def _check_memory(dimension: int, order: int, arrays: int, top: int = 0) -> None:
-    """Refuse a run whose int64 arrays and text, for values up to top, would pass MEMORY_BUDGET.
+def _check_memory(dimension: int, order: int, vectors: int, held: tuple, shown=0, top=0, fmt="json") -> None:
+    """Refuse a run whose codes, the items held and the text of shown cells up to top would pass MEMORY_BUDGET.
 
-    The text costs a byte per digit and two per terminator, twice: the
-    encoder's string and the document made from it.
+    Reading the vectors' codes (lattice._read_codes) holds a sub-grid of
+    n**(d-1) codes per vector and one more, room a 2-D slice takes later.
+    A text costs each cell shown its padded row and its text, which bound
+    the later copies.  A run adds 1 MiB: its parser, tables and blocks.
     """
-    text = 2 * (len(str(top)) + 2) if top else 0
-    _charge(f"order {order} at dimension {dimension}", order**dimension * (8 * arrays + text))
+    cells, row = order**dimension, fmt != "json"
+    need = (cells + (vectors + 1) * cells // order) * _CELL_BYTES["codes"] + (1 << 20)
+    need += cells * sum(_CELL_BYTES[item] for item in held)
+    if shown:
+        width, stride, _ = _row_layout(top, shown, row)
+        text = width + 1 + row
+        need += shown * (stride + text)
+    _charge(f"order {order} at dimension {dimension}", need)
 
 
 def _charge(what: str, need: int) -> None:
     """Refuse a run that needs more than MEMORY_BUDGET bytes."""
     if need > MEMORY_BUDGET:
-        raise InputError(
-            f"{what} needs about {need >> 20} MiB,"
-            f" above the memory budget of {MEMORY_BUDGET >> 20} MiB"
-        )
+        raise InputError(f"{what} needs about {need >> 20} MiB, above the memory budget of {MEMORY_BUDGET >> 20} MiB")
 
 
 def _wrap_input(fn):

@@ -181,31 +181,58 @@ def test_generate_order_cap_and_force(capsys):
     assert out.count("\n") == 43
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["generate", "--order", "101", "--params", "1,2,4,8"],
-        ["generate", "--order", "101", "--params", "1,2,4,8", "--slice", "k=0,l=0", "--format", "grid"],
-        ["magic", "--order", "101", "--params-list", "1,2,4,8;1,3,9,27;1,4,16,64;1,5,25,24"],
-        ["orthogonal", "--order", "101", "--params-list", "1,2,4,8;1,3,9,27;1,4,16,64;1,5,25,24"],
-        ["orthogonal", "--order", "101", "--params-list", "1,2,4,8;1,3,9,27;1,4,16,64;1,5,25,24", "--brute"],
-    ],
-)
-def test_force_stops_at_the_memory_budget_before_building(capsys, monkeypatch, argv):
-    def refuse(v):
-        raise AssertionError("build called")
+FAMILY_4_101 = "1,22,28,32;1,87,92,75;1,11,48,2;1,40,54,31"
+CELLS_4_101, SUB_4_101, MiB = 101**4, 101**3, 1 << 20
 
-    monkeypatch.setattr(cli, "build", refuse)
-    monkeypatch.setattr(magic, "build", refuse)
+
+@pytest.mark.parametrize(
+    "argv, need, fits",
+    [
+        # the grid and two sub-grids of codes, 3 digits and a comma in 4-byte rows, and a run's 1 MiB
+        (["generate", "--order", "101", "--params", "1,2,4,8"], 8 * (CELLS_4_101 + 2 * SUB_4_101) + 8 * CELLS_4_101 + MiB, False),
+        # a slice's text: 3 digits and up to two terminators in 8-byte rows for its n**2 cells
+        (
+            ["generate", "--order", "101", "--params", "1,2,4,8", "--slice", "k=0,l=0", "--format", "grid"],
+            8 * (CELLS_4_101 + 2 * SUB_4_101) + 13 * 101**2 + MiB,
+            True,
+        ),
+        # five sub-grids for four vectors; 9 digits and a comma in rows of two 8-byte words
+        (["magic", "--order", "101", "--params-list", FAMILY_4_101], 8 * (CELLS_4_101 + 5 * SUB_4_101) + 26 * CELLS_4_101 + MiB, False),
+        # with neither test named both run, and the brute test marks each code in a byte
+        (["orthogonal", "--order", "101", "--params-list", FAMILY_4_101], 8 * (CELLS_4_101 + 5 * SUB_4_101) + CELLS_4_101 + MiB, True),
+        (
+            ["orthogonal", "--order", "101", "--params-list", FAMILY_4_101, "--brute"],
+            8 * (CELLS_4_101 + 5 * SUB_4_101) + CELLS_4_101 + MiB,
+            True,
+        ),
+    ],
+    ids=[f"argv{i}" for i in range(5)],
+)
+def test_force_stops_at_the_memory_budget_before_building(capsys, monkeypatch, argv, need, fits):
+    def refuse(*args):
+        raise AssertionError("a grid was built")
+
+    for module in (cli, magic):
+        monkeypatch.setattr(module, "build", refuse)
+        monkeypatch.setattr(module, "_read_codes", refuse)
+    assert (need <= cli.MEMORY_BUDGET) == fits
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", need)
+    with pytest.raises(AssertionError, match="a grid was built"):
+        cli.run(argv + ["--force"])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", need - 1)
     code, out, err = run_cli(capsys, argv + ["--force"])
     assert (code, out) == (2, "")
-    assert err.startswith("error: order 101 at dimension 4 needs about ")
-    assert err.endswith(f" MiB, above the memory budget of {cli.MEMORY_BUDGET >> 20} MiB\n")
+    assert err == (
+        f"error: order 101 at dimension 4 needs about {need >> 20} MiB,"
+        f" above the memory budget of {(need - 1) >> 20} MiB\n"
+    )
 
 
 def test_memory_budget_charges_text_only_for_a_full_document(capsys, monkeypatch):
-    # two int64 grids of 11**4 cells fit in 20 bytes a cell; their text as well does not
-    monkeypatch.setattr(cli, "MEMORY_BUDGET", 20 * 11**4)
+    # a slice's whole charge: the grid, two sub-grids, 8 bytes of row and text for each of its 11**2
+    # cells and a run's 1 MiB; it leaves no room for a full document's text
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", cli._CELL_BYTES["codes"] * (11**4 + 2 * 11**3 + 11**2) + (1 << 20))
     argv = ["generate", "--order", "11", "--params", "1,2,4,8", "--force"]
     code, out, err = run_cli(capsys, argv + ["--slice", "k=0,l=0", "--format", "grid"])
     assert (code, err) == (0, "")
@@ -213,6 +240,39 @@ def test_memory_budget_charges_text_only_for_a_full_document(capsys, monkeypatch
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert "above the memory budget" in err
+
+
+@pytest.mark.parametrize(
+    "order, family, face",
+    [(101, "1,2,4;1,2,41;1,3,22", "k=0"), (41, "1,16,38,35;1,9,24,39;1,31,38,5;1,17,36,15", "k=0,l=0")],
+    ids=["d3_n101", "d4_n41"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["generate"],
+        ["generate", "--format", "grid"],
+        ["generate", "--slice", "{face}", "--format", "grid"],
+        ["generate", "--check"],
+        ["magic"],
+        ["magic", "--check"],
+        ["orthogonal", "--brute"],
+    ],
+)
+def test_each_charge_bounds_its_traced_peak(monkeypatch, order, family, face, command):
+    argv = [part.format(face=face) for part in command] + ["--order", str(order)]
+    argv += ["--params", family.split(";")[0]] if command[0] == "generate" else ["--params-list", family]
+    needs = []
+    charge = cli._charge
+    monkeypatch.setattr(cli, "_charge", lambda what, need: needs.append(need) or charge(what, need))
+    monkeypatch.setattr(cli.sys, "stdout", type("Sink", (), {"write": lambda self, text: None})())
+    tracemalloc.start()
+    try:
+        assert cli.run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= needs[0] <= 1.5 * peak, (peak, needs)
 
 
 def test_fast_orthogonal_test_needs_no_memory_budget(capsys):
