@@ -9,13 +9,14 @@ identical bytes.
 Cells are written and read without per-cell Python.  json.dumps writes
 the header with an empty values list and one encoder, shared with the
 grid and csv renderers, splices in the digits of every cell, so the
-bytes are those of json.dumps of the int list or of a string join.  Each
-cell takes a NUL-padded byte row: a grid whose values span at most half
-as many numbers as it has cells, as a latin grid spells n, reads each
-cell's row from a table of those numbers' rows; any other grid, such as
-a magic one, ORs two rows per cell, its head's v // 10**4 and its tail's
-v % 10**4, from two small tables (more for values of nine digits or
-more); the NULs are then dropped a block at a time, in place.  The
+bytes are those of json.dumps of the int list or of a string join.  The
+cells are written a chunk at a time, each cell as a NUL-padded byte row:
+a grid whose values span at most half as many numbers as it has cells,
+as a latin grid spells n, reads each cell's row from a table of those
+numbers' rows; any other grid, such as a magic one, ORs two rows per
+cell, its head's v // 10**4 and its tail's v % 10**4, from two small
+tables (more for values of nine digits or more).  Each chunk's rows get
+their line breaks and lose their NULs into one text buffer.  The
 reader parses a values list of plain digits and commas (no empty token,
 no leading zero, at most 18 digits per token, in an ASCII text with no
 backslash) with numpy, in blocks of about _READ_BLOCK characters into
@@ -34,8 +35,8 @@ are frozen and kept as they are by LatinArray, MagicArray and
 ArrayDocument, which copy only arrays that come from their callers.
 
 Generate, magic and orthogonal --brute refuse, --force or not, a run
-whose grids, padded rows and text would pass MEMORY_BUDGET, before
-building (_check_memory).  Verify and slice refuse a document the same
+whose grids and text would pass MEMORY_BUDGET, before building
+(_check_memory).  Verify and slice refuse a document the same
 way before parsing any value: its text twice, as read and as decoded,
 and the bytes each value will take.
 
@@ -89,13 +90,10 @@ _PLACEHOLDER = "<values>"
 # characters of a plain values list checked and parsed at a time
 _READ_BLOCK = 1 << 18
 
-# bytes of padded text the encoder strips of NULs at a time
-_PACK_BLOCK = 1 << 16
-
 # values per digit group: a wide value's row ORs one row per group of four digits
 _GROUP = 10**4
 
-# cells whose digit rows the encoder makes at a time from the group tables
+# cells whose padded rows the encoder makes, marks and strips at a time
 _ROW_CHUNK = 1 << 14
 
 KINDS = ("latin", "magic")
@@ -342,44 +340,51 @@ def _encode(flat: np.ndarray, sep: str, row: int = 0, offset: int = 0) -> str:
     """Decimal text of flat + offset (non-negative int64), each value followed by its terminator.
 
     row=0 joins the values by sep (a JSON list body); row=n lays them out
-    as render_blocks does.  Each value fills one byte row (_row_layout),
-    digits right-aligned behind NUL padding and then its terminators, read
-    from a table of offset .. top or made from its digit groups (_digit_rows).
+    as render_blocks does.  The rows come a chunk at a time, each value
+    right-aligned behind NUL padding and then its terminators, from a table
+    of offset .. top when those values are at most half the cells
+    (_table_rows) or else from digit groups (_digit_rows).  Each chunk gets
+    its line breaks, loses its NULs and is appended to one text buffer of
+    digits + 1 + (row > 0) bytes a cell.  With row > 0 a chunk holds whole
+    blocks, so its breaks fall at the same places in every chunk.  Every
+    value ends in its terminators, and the text ends one byte early: no sep
+    after the last value, one newline after the last block.
     """
     top = int(flat.max()) + offset
-    width, stride, tabled = _row_layout(top, flat.size, row)
-    if tabled:
-        table = np.zeros((top + 1 - offset, stride), dtype=np.uint8)
-        _write_digits(np.arange(offset, top + 1, dtype=np.min_scalar_type(top)), table[:, :width])
-        table[:, width] = ord(sep)
-        # indexing, not ndarray.take, which copies a read-only index such as a frozen grid
-        buf = table.view(f"V{stride}")[:, 0][flat].view(np.uint8).reshape(flat.size, -1)
-    else:
-        buf = _digit_rows(flat, offset, top, stride, sep)
-    if row:
-        buf[row - 1 :: row, width] = ord("\n")
-        buf[row * row - 1 : -1 : row * row, width + 1] = ord("\n")
-    else:
-        buf[-1, width] = 0
-    return _unpadded(buf.reshape(-1))
+    width = len(str(top))
+    size = width + 1 + (row > 0)
+    step = max(1, _ROW_CHUNK // row**2) * row**2 if row else _ROW_CHUNK
+    make = _table_rows if 2 * (top + 1) <= flat.size else _digit_rows
+    text, end = np.empty(flat.size * size, dtype=np.uint8), 0
+    for rows in make(flat, offset, top, size, sep, step):
+        if row:
+            rows[row - 1 :: row, width] = ord("\n")
+            rows[row * row - 1 :: row * row, width + 1] = ord("\n")
+        kept = rows.tobytes().translate(None, b"\0")
+        text[end : end + len(kept)] = np.frombuffer(kept, dtype=np.uint8)
+        end += len(kept)
+    del rows, kept  # the finished row maker has dropped its tables; no chunk is held beside the str
+    return str(text[: end - 1], "ascii")
 
 
-def _row_layout(top: int, cells: int, row: int) -> tuple[int, int, bool]:
-    """The digits of top, the bytes of a padded row, and whether the rows come from a table of the values.
+def _table_rows(flat: np.ndarray, offset: int, top: int, size: int, sep: str, step: int) -> Iterator[np.ndarray]:
+    """The padded rows of flat + offset, step cells at a time, read from a table of offset .. top.
 
-    A row holds digits and a terminator, or two in blocks (row > 0).  Table
-    rows take a power of two bytes, which numpy indexes about four times
-    faster than 3 or 5; other rows take whole 8-byte words.
+    Table rows take a power of two bytes, at least size, which numpy
+    indexes about four times faster than 3 or 5.
     """
     width = len(str(top))
-    size = width + (2 if row else 1)
-    if 2 * (top + 1) <= cells:
-        return width, 1 << (size - 1).bit_length(), True
-    return width, max(size, -(-(width + 1) // 8) * 8), False
+    table = np.zeros((top + 1 - offset, 1 << (size - 1).bit_length()), dtype=np.uint8)
+    _write_digits(np.arange(offset, top + 1, dtype=np.min_scalar_type(top)), table[:, :width])
+    table[:, width] = ord(sep)
+    cells = table.view(f"V{table.shape[1]}")[:, 0]
+    for lo in range(0, flat.size, step):
+        # indexing, not ndarray.take, which copies a read-only index such as a frozen grid
+        yield cells[flat[lo : lo + step]].view(np.uint8).reshape(-1, table.shape[1])
 
 
-def _digit_rows(flat: np.ndarray, offset: int, top: int, stride: int, sep: str) -> np.ndarray:
-    """The NUL-padded rows of flat + offset, stride bytes each: digits, then sep at column width.
+def _digit_rows(flat: np.ndarray, offset: int, top: int, size: int, sep: str, step: int) -> Iterator[np.ndarray]:
+    """The padded rows of flat + offset, step cells at a time, made from digit groups.
 
     A value is split into groups of four digits, v = sum_j g_j * _GROUP**j,
     and its row is the OR of one row per group.  The table of group 0
@@ -387,12 +392,12 @@ def _digit_rows(flat: np.ndarray, offset: int, top: int, stride: int, sep: str) 
     group j > 0 holds the digits of g * _GROUP**j, whose zeros the lower
     groups' digits OR over ("0" | digit == digit), and an empty row 0.
     Below 10**8 that is two tables, the tail's 10**4 rows and the head's
-    top // 10**4 + 1.  The rows are whole 8-byte words, written through a
-    strided view of the row buffer; the words and every other temporary
-    are _ROW_CHUNK cells.
+    top // 10**4 + 1.  A row is the whole 8-byte words that hold the digits
+    and sep, and one byte more when size needs it; the words are written
+    through a strided view of one chunk of rows, which every chunk reuses.
     """
     width = len(str(top))
-    words = stride // 8  # whole words, at most a byte short of stride
+    words = -(-(width + 1) // 8)
     tables = [np.zeros((_GROUP, words), dtype=np.uint64)]
     tail = tables[0].view(np.uint8)
     # values narrower than four digits keep only the low digits of the rows past top, which none reads
@@ -403,33 +408,18 @@ def _digit_rows(flat: np.ndarray, offset: int, top: int, stride: int, sep: str) 
         table = np.zeros((min(_GROUP, top // scale + 1), words), dtype=np.uint64)
         _write_digits(np.arange(1, len(table), dtype=np.uint64) * scale, table.view(np.uint8)[1:, :width])
         tables.append(table)
-    buf = np.zeros((flat.size, stride), dtype=np.uint8)
-    rows = np.ndarray((flat.size, words), dtype=np.uint64, buffer=buf, strides=(buf.shape[1], 8))
+    buf = np.zeros((min(step, flat.size), max(size, 8 * words)), dtype=np.uint8)
+    rows = np.ndarray((len(buf), words), dtype=np.uint64, buffer=buf, strides=(buf.shape[1], 8))
     kind, last = np.min_scalar_type(max(top, _GROUP)), len(tables) - 1
-    for lo in range(0, flat.size, _ROW_CHUNK):
-        value = np.add(flat[lo : lo + _ROW_CHUNK], offset, dtype=kind, casting="unsafe")
+    for lo in range(0, flat.size, step):
+        value = np.add(flat[lo : lo + step], offset, dtype=kind, casting="unsafe")
         words_of = tables[0].take(value % _GROUP, axis=0)
         for j in range(1, last + 1):
             group = value // _GROUP**j
             # the top group is below _GROUP already
             words_of |= tables[j].take(group if j == last else group % _GROUP, axis=0)
-        rows[lo : lo + _ROW_CHUNK] = words_of
-    return buf
-
-
-def _unpadded(padded: np.ndarray) -> str:
-    """The bytes of padded without its NULs as ASCII text; padded is consumed.
-
-    Each block's kept bytes are moved to the front of padded, which they
-    never pass, so the text is made from padded itself and only the str is
-    held besides it.
-    """
-    end = 0
-    for lo in range(0, padded.size, _PACK_BLOCK):
-        kept = padded[lo : lo + _PACK_BLOCK].tobytes().translate(None, b"\0")
-        padded[end : end + len(kept)] = np.frombuffer(kept, dtype=np.uint8)
-        end += len(kept)
-    return str(padded[:end], "ascii")
+        rows[: value.size] = words_of
+        yield buf[: value.size]
 
 
 def _write_digits(v: np.ndarray, out: np.ndarray) -> None:
@@ -816,16 +806,14 @@ def _check_memory(dimension: int, order: int, vectors: int, held: tuple, shown=0
 
     Reading the vectors' codes (lattice._read_codes) holds a sub-grid of
     n**(d-1) codes per vector and one more, room a 2-D slice takes later.
-    A text costs each cell shown its padded row and its text, which bound
-    the later copies.  A run adds 1 MiB: its parser, tables and blocks.
+    A text costs each cell shown twice its bound, the digits of top and
+    its terminators: the encoder's buffer and the str made from it, which
+    bound the later copies.  A run adds 1 MiB: its parser, tables and chunks.
     """
     cells, row = order**dimension, fmt != "json"
     need = (cells + (vectors + 1) * cells // order) * _CELL_BYTES["codes"] + (1 << 20)
     need += cells * sum(_CELL_BYTES[item] for item in held)
-    if shown:
-        width, stride, _ = _row_layout(top, shown, row)
-        text = width + 1 + row
-        need += shown * (stride + text)
+    need += 2 * shown * (len(str(top)) + 1 + row)
     _charge(f"order {order} at dimension {dimension}", need)
 
 

@@ -174,8 +174,7 @@ def _read_codes(
     holds the k sub-grids and that temporary.
     """
     n, d = vectors[0].order, vectors[0].dimension
-    if n > MAX_ORDER:
-        raise ValueError(f"order {n} above array cap {MAX_ORDER}")
+    _check_order(n)
     k = len(vectors)
     residue = np.arange(2 * n, dtype=np.int64) % n
     labels = [np.arange(n)] * k if perms is None else [_bijection(p, n) for p in perms]
@@ -197,6 +196,14 @@ def _read_codes(
         for t, f, s in later:
             slab += t[f[x0] : f[x0] + n].take(s, out=digit, mode="clip")
     return _own_grid(grid)
+
+
+def _check_order(order: int) -> None:
+    """Refuse an order no array is built at: below 2 or above MAX_ORDER."""
+    if order < 2:
+        raise ValueError(f"order must be at least 2, got {order}")
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} above array cap {MAX_ORDER}")
 
 
 def slice_view(a: LatinArray, spec: SliceSpec) -> np.ndarray:

@@ -114,9 +114,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .lattice import AXIS_NAMES, MAX_ORDER, LatinArray, gather
+from .lattice import AXIS_NAMES, LatinArray, _check_order, gather
 from .magic import MagicArray, sigma
-from .params import DIMENSIONS, DIRECTIONS
+from .orthogonal import _codes_distinct
+from .params import DIRECTIONS, _check_dimension
 
 LINE_KINDS = ("row", "column", "diagonal-plus", "diagonal-minus")
 
@@ -191,8 +192,7 @@ class VerificationReport:
 @lru_cache(maxsize=None)
 def enumerate_squares(dimension: int, order: int) -> tuple[SquareView, ...]:
     """All constituent squares in canonical scan order."""
-    if dimension not in DIMENSIONS:
-        raise ValueError(f"dimension must be 2, 3 or 4, got {dimension}")
+    _check_dimension(dimension)
     _check_order(order)
     return tuple(_square_views(dimension, order, np.arange(_square_count(dimension, order))))
 
@@ -235,11 +235,9 @@ def verify_magic_pandiagonal(m: MagicArray, fail_fast: bool = False) -> Verifica
     """
     n, d = m.order, m.dimension
     target = sigma(d, n)
-    # n**d values in [0, n**d - 1] repeat one exactly when one is missing;
-    # a byte per value, where bincount would copy the read-only grid
-    present = np.zeros(n**d, dtype=bool)
-    present[m.values.ravel()] = True
-    if not present.all():
+    # n**d values in [0, n**d - 1] repeat one exactly when one is missing; the test
+    # marks a byte per value, where bincount would copy the read-only grid, and bincount names the repeat
+    if not _codes_distinct(m.values):
         counts = np.bincount(m.values.ravel(), minlength=n**d)
         rep = int(np.argmax(counts > 1))
         return VerificationReport(
@@ -617,13 +615,6 @@ def _square_views(d: int, n: int, squares: np.ndarray) -> list[SquareView]:
     rows, cols = (signs[shapes] @ strides for signs in (row_signs, col_signs))
     maps = zip(shapes.tolist(), values.tolist(), origins.tolist(), rows.tolist(), cols.tolist())
     return [SquareView(n, ids[s].format(*v, m=n - 1), d, *m) for s, v, *m in maps]
-
-
-def _check_order(order: int) -> None:
-    if order < 2:
-        raise ValueError(f"order must be at least 2, got {order}")
-    if order > MAX_ORDER:
-        raise ValueError(f"order {order} above array cap {MAX_ORDER}")
 
 
 def _faces(names: tuple[str, ...], steps: tuple[np.ndarray, ...], value: str) -> Iterator[tuple]:

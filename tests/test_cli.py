@@ -188,16 +188,16 @@ CELLS_4_101, SUB_4_101, MiB = 101**4, 101**3, 1 << 20
 @pytest.mark.parametrize(
     "argv, need, fits",
     [
-        # the grid and two sub-grids of codes, 3 digits and a comma in 4-byte rows, and a run's 1 MiB
+        # the grid and two sub-grids of codes, twice the text of 3 digits and a comma, and a run's 1 MiB
         (["generate", "--order", "101", "--params", "1,2,4,8"], 8 * (CELLS_4_101 + 2 * SUB_4_101) + 8 * CELLS_4_101 + MiB, False),
-        # a slice's text: 3 digits and up to two terminators in 8-byte rows for its n**2 cells
+        # a slice's text: twice 3 digits and up to two terminators for its n**2 cells
         (
             ["generate", "--order", "101", "--params", "1,2,4,8", "--slice", "k=0,l=0", "--format", "grid"],
-            8 * (CELLS_4_101 + 2 * SUB_4_101) + 13 * 101**2 + MiB,
+            8 * (CELLS_4_101 + 2 * SUB_4_101) + 10 * 101**2 + MiB,
             True,
         ),
-        # five sub-grids for four vectors; 9 digits and a comma in rows of two 8-byte words
-        (["magic", "--order", "101", "--params-list", FAMILY_4_101], 8 * (CELLS_4_101 + 5 * SUB_4_101) + 26 * CELLS_4_101 + MiB, False),
+        # five sub-grids for four vectors; twice the text of 9 digits and a comma
+        (["magic", "--order", "101", "--params-list", FAMILY_4_101], 8 * (CELLS_4_101 + 5 * SUB_4_101) + 20 * CELLS_4_101 + MiB, False),
         # with neither test named both run, and the brute test marks each code in a byte
         (["orthogonal", "--order", "101", "--params-list", FAMILY_4_101], 8 * (CELLS_4_101 + 5 * SUB_4_101) + CELLS_4_101 + MiB, True),
         (
@@ -230,8 +230,8 @@ def test_force_stops_at_the_memory_budget_before_building(capsys, monkeypatch, a
 
 
 def test_memory_budget_charges_text_only_for_a_full_document(capsys, monkeypatch):
-    # a slice's whole charge: the grid, two sub-grids, 8 bytes of row and text for each of its 11**2
-    # cells and a run's 1 MiB; it leaves no room for a full document's text
+    # a slice's whole charge: the grid, two sub-grids, twice 2 digits and two terminators for each
+    # of its 11**2 cells and a run's 1 MiB; it leaves no room for a full document's text
     monkeypatch.setattr(cli, "MEMORY_BUDGET", cli._CELL_BYTES["codes"] * (11**4 + 2 * 11**3 + 11**2) + (1 << 20))
     argv = ["generate", "--order", "11", "--params", "1,2,4,8", "--force"]
     code, out, err = run_cli(capsys, argv + ["--slice", "k=0,l=0", "--format", "grid"])

@@ -134,7 +134,7 @@ def test_encode_matches_reference_on_both_paths(top, offset, block):
     if top < offset:
         return
     rng = np.random.default_rng(top * 2 + offset)
-    with mock.patch.object(cli, "_PACK_BLOCK", block):
+    with mock.patch.object(cli, "_ROW_CHUNK", block):
         for cells, path in ((2 * (top + 1), "table"), (2 * (top + 1) - 1, "loop")):
             flat = rng.integers(0, top - offset + 1, cells)
             flat[rng.integers(cells)] = top - offset
@@ -147,7 +147,11 @@ def test_encode_matches_reference_on_both_paths(top, offset, block):
 @pytest.mark.parametrize("offset", [0, 1])
 @pytest.mark.parametrize("top", TOPS)
 def test_render_blocks_matches_reference_on_both_paths(top, offset):
-    """Grids whose top + 1 lies either side of half their cells, with rows of n and blocks of n * n."""
+    """Grids whose top + 1 lies either side of half their cells, with rows of n and blocks of n * n.
+
+    Chunks of 1 and 7 cells round up to one block each, so every block is
+    its own chunk; the default chunk holds all the blocks of these grids.
+    """
     if top < offset:
         return
     rng = np.random.default_rng(top * 2 + offset)
@@ -155,9 +159,11 @@ def test_render_blocks_matches_reference_on_both_paths(top, offset):
     for shape in ((2, 2), (3, 3), (7, 7), (10, 10), (15, 15), (2, 2, 2), (4, 4, 4), (5, 5, 5), (3, 3, 3, 3)):
         values = rng.integers(0, top - offset + 1, shape)
         values.flat[rng.integers(values.size)] = top - offset
-        for sep in (" ", ","):
-            got, paths = encoder_paths(lambda: cli.render_blocks(values, sep, offset))
-            assert got == reference_blocks(values, sep, offset)
+        for chunk in (1, 7, cli._ROW_CHUNK):
+            for sep in (" ", ","):
+                with mock.patch.object(cli, "_ROW_CHUNK", chunk):
+                    got, paths = encoder_paths(lambda: cli.render_blocks(values, sep, offset))
+                assert got == reference_blocks(values, sep, offset)
         seen.add(paths[0])
         assert paths == ["table" if 2 * (top + 1) <= values.size else "loop"]
     # a grid of zeros always has half its cells or more to spare
@@ -192,7 +198,7 @@ def test_text_across_pack_blocks_matches_reference():
     v = ParamVector((1, 2, 4), 101)
     doc = cli.ArrayDocument(3, 101, build(v).values, "latin", (v.alphas,))
     for block in (1 << 16, 12345):
-        with mock.patch.object(cli, "_PACK_BLOCK", block):
+        with mock.patch.object(cli, "_ROW_CHUNK", block):
             (text, grid), paths = encoder_paths(
                 lambda: (cli.document_to_json(doc), cli.render_blocks(doc.values, " ", 1))
             )
@@ -222,6 +228,19 @@ def test_magic_document_encode_peak():
     padded = doc.values.size * (len(str(101**3 - 1)) + 1)  # a digit row and a comma per cell
     # the padded rows and the text, where stripping the rows through bytes held them twice
     assert peak < padded + len(text) + (64 << 10) < 2 * padded, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_latin_grid_encode_peak():
+    values = build(ParamVector((1, 2, 4), 101)).values
+    tracemalloc.start()
+    try:
+        cli.render_blocks(values, " ")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = values.size * (3 + 2)  # 3 digits and up to two terminators a cell
+    # the text buffer and the str made from it, with no padded row of the whole grid besides
+    assert peak < 2 * bound + (64 << 10), f"peak {peak / 2**20:.2f} MiB"
 
 
 # reader: the fast path against json.loads whole
