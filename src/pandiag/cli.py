@@ -10,13 +10,12 @@ Cells are written and read without per-cell Python.  json.dumps writes
 the header with an empty values list and one encoder, shared with the
 grid and csv renderers, splices in the digits of every cell, so the
 bytes are those of json.dumps of the int list or of a string join.  The
-cells are written a chunk at a time, each cell as a NUL-padded byte row:
-a grid whose values span at most half as many numbers as it has cells,
-as a latin grid spells n, reads each cell's row from a table of those
-numbers' rows; any other grid, such as a magic one, ORs two rows per
-cell, its head's v // 10**4 and its tail's v % 10**4, from two small
-tables (more for values of nine digits or more).  Each chunk's rows get
-their line breaks and lose their NULs into one text buffer.  The
+cells are written a chunk at a time, each cell as a NUL-padded byte row,
+the OR of one row per group of four digits: below 10**4, as in a latin
+grid, a cell's row is its value's row of one table; a magic grid ORs
+its head's v // 10**4 and its tail's v % 10**4 from two small tables
+(more for values of nine digits or more).  Each chunk's rows get their
+line breaks and lose their NULs into one text buffer.  The
 reader parses a values list of plain digits and commas (no empty token,
 no leading zero, at most 18 digits per token, in an ASCII text with no
 backslash) with numpy, in blocks of about _READ_BLOCK characters into
@@ -340,23 +339,21 @@ def _encode(flat: np.ndarray, sep: str, row: int = 0, offset: int = 0) -> str:
     """Decimal text of flat + offset (non-negative int64), each value followed by its terminator.
 
     row=0 joins the values by sep (a JSON list body); row=n lays them out
-    as render_blocks does.  The rows come a chunk at a time, each value
-    right-aligned behind NUL padding and then its terminators, from a table
-    of offset .. top when those values are at most half the cells
-    (_table_rows) or else from digit groups (_digit_rows).  Each chunk gets
-    its line breaks, loses its NULs and is appended to one text buffer of
-    digits + 1 + (row > 0) bytes a cell.  With row > 0 a chunk holds whole
-    blocks, so its breaks fall at the same places in every chunk.  Every
-    value ends in its terminators, and the text ends one byte early: no sep
-    after the last value, one newline after the last block.
+    as render_blocks does.  The rows come a chunk at a time from _rows,
+    each value right-aligned behind NUL padding and then its terminators.
+    Each chunk gets its line breaks, loses its NULs and is appended to one
+    text buffer of digits + 1 + (row > 0) bytes a cell.  With row > 0 a
+    chunk holds whole blocks, so its breaks fall at the same places in
+    every chunk.  Every value ends in its terminators, and the text ends
+    one byte early: no sep after the last value, one newline after the
+    last block.
     """
     top = int(flat.max()) + offset
     width = len(str(top))
     size = width + 1 + (row > 0)
     step = max(1, _ROW_CHUNK // row**2) * row**2 if row else _ROW_CHUNK
-    make = _table_rows if 2 * (top + 1) <= flat.size else _digit_rows
     text, end = np.empty(flat.size * size, dtype=np.uint8), 0
-    for rows in make(flat, offset, top, size, sep, step):
+    for rows in _rows(flat, offset, top, size, sep, step):
         if row:
             rows[row - 1 :: row, width] = ord("\n")
             rows[row * row - 1 :: row * row, width + 1] = ord("\n")
@@ -367,59 +364,47 @@ def _encode(flat: np.ndarray, sep: str, row: int = 0, offset: int = 0) -> str:
     return str(text[: end - 1], "ascii")
 
 
-def _table_rows(flat: np.ndarray, offset: int, top: int, size: int, sep: str, step: int) -> Iterator[np.ndarray]:
-    """The padded rows of flat + offset, step cells at a time, read from a table of offset .. top.
-
-    Table rows take a power of two bytes, at least size, which numpy
-    indexes about four times faster than 3 or 5.
-    """
-    width = len(str(top))
-    table = np.zeros((top + 1 - offset, 1 << (size - 1).bit_length()), dtype=np.uint8)
-    _write_digits(np.arange(offset, top + 1, dtype=np.min_scalar_type(top)), table[:, :width])
-    table[:, width] = ord(sep)
-    cells = table.view(f"V{table.shape[1]}")[:, 0]
-    for lo in range(0, flat.size, step):
-        # indexing, not ndarray.take, which copies a read-only index such as a frozen grid
-        yield cells[flat[lo : lo + step]].view(np.uint8).reshape(-1, table.shape[1])
-
-
-def _digit_rows(flat: np.ndarray, offset: int, top: int, size: int, sep: str, step: int) -> Iterator[np.ndarray]:
-    """The padded rows of flat + offset, step cells at a time, made from digit groups.
+def _rows(flat: np.ndarray, offset: int, top: int, size: int, sep: str, step: int) -> Iterator[np.ndarray]:
+    """The padded rows of flat + offset, step cells at a time, made from digit-group tables.
 
     A value is split into groups of four digits, v = sum_j g_j * _GROUP**j,
-    and its row is the OR of one row per group.  The table of group 0
-    holds each g's digits behind NULs and sep after them; the table of
-    group j > 0 holds the digits of g * _GROUP**j, whose zeros the lower
-    groups' digits OR over ("0" | digit == digit), and an empty row 0.
-    Below 10**8 that is two tables, the tail's 10**4 rows and the head's
-    top // 10**4 + 1.  A row is the whole 8-byte words that hold the digits
-    and sep, and one byte more when size needs it; the words are written
-    through a strided view of one chunk of rows, which every chunk reuses.
+    and its row is the OR of one row per group.  Table 0 holds the whole
+    value behind NULs below 10**4, else its low four digits, with sep after
+    them; table j > 0 holds the digits of g * _GROUP**j, whose zeros the
+    lower groups' digits OR over ("0" | digit == digit), and an empty row 0.
+    A row is one word of a power of two bytes above the digits, which
+    numpy takes about four times faster than 3 or 5 bytes, or several
+    8-byte words from eight digits on.  Group 0 is taken straight into a
+    strided view of one chunk of rows, which every chunk reuses, with one
+    byte more when size needs it; the later groups are ORed in.
     """
     width = len(str(top))
-    words = -(-(width + 1) // 8)
-    tables = [np.zeros((_GROUP, words), dtype=np.uint64)]
-    tail = tables[0].view(np.uint8)
-    # values narrower than four digits keep only the low digits of the rows past top, which none reads
-    _write_digits(np.arange(_GROUP, dtype=np.uint16), tail[:, max(0, width - 4) : width])
-    tail[:, width] = ord(sep)
-    while top >= _GROUP ** len(tables):
+    word = 1 << width.bit_length()
+    unit = np.dtype(f"u{min(word, 8)}")
+    tables: list[np.ndarray] = []
+    while not tables or top >= _GROUP ** len(tables):
         scale = _GROUP ** len(tables)
-        table = np.zeros((min(_GROUP, top // scale + 1), words), dtype=np.uint64)
-        _write_digits(np.arange(1, len(table), dtype=np.uint64) * scale, table.view(np.uint8)[1:, :width])
-        tables.append(table)
-    buf = np.zeros((min(step, flat.size), max(size, 8 * words)), dtype=np.uint8)
-    rows = np.ndarray((len(buf), words), dtype=np.uint64, buffer=buf, strides=(buf.shape[1], 8))
-    kind, last = np.min_scalar_type(max(top, _GROUP)), len(tables) - 1
+        table = np.zeros((min(_GROUP, top // scale + 1), word), dtype=np.uint8)
+        if tables:
+            _write_digits(np.arange(1, len(table), dtype=np.uint64) * scale, table[1:, :width])
+        else:
+            _write_digits(np.arange(len(table), dtype=np.uint16), table[:, max(0, width - 4) : width])
+            table[:, width] = ord(sep)
+        tables.append(table.view(unit))
+    buf = np.zeros((min(step, flat.size), max(size, word)), dtype=np.uint8)
+    rows = np.ndarray((len(buf), word // unit.itemsize), dtype=unit, buffer=buf, strides=(buf.shape[1], unit.itemsize))
+    # one table is indexed by the value itself
+    kind, last = np.intp if len(tables) == 1 else np.min_scalar_type(top), len(tables) - 1
     for lo in range(0, flat.size, step):
         value = np.add(flat[lo : lo + step], offset, dtype=kind, casting="unsafe")
-        words_of = tables[0].take(value % _GROUP, axis=0)
+        k = value.size
+        # under mode="raise" take writes through a buffer; every index is in its table
+        tables[0].take(value % _GROUP if last else value, axis=0, out=rows[:k], mode="clip")
         for j in range(1, last + 1):
             group = value // _GROUP**j
             # the top group is below _GROUP already
-            words_of |= tables[j].take(group if j == last else group % _GROUP, axis=0)
-        rows[: value.size] = words_of
-        yield buf[: value.size]
+            rows[:k] |= tables[j].take(group if j == last else group % _GROUP, axis=0)
+        yield buf[:k]
 
 
 def _write_digits(v: np.ndarray, out: np.ndarray) -> None:
@@ -537,9 +522,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.dim is not None and args.dim != len(alphas):
         raise InputError(f"--dim {args.dim} contradicts {len(alphas)} coefficients")
     _check_order_cap(len(alphas), args.order, args.force)
+    v = _wrap_input(lambda: ParamVector(alphas, args.order))
     held, shown = ("check",) if args.check else (), args.order ** (2 if args.slice is not None else len(alphas))
     _check_memory(len(alphas), args.order, 1, held, shown, args.order - 1 + args.one_based, args.format)
-    v = _wrap_input(lambda: ParamVector(alphas, args.order))
     array = _wrap_input(lambda: build(v))
     if args.check:
         report = verify_latin_pandiagonal(array)
@@ -686,14 +671,14 @@ def _write(text: str, output: str | None) -> None:
 
 
 def _read_document(path: str) -> ArrayDocument:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
     return document_from_json(text)
 
 
@@ -789,8 +774,6 @@ def _claim(fixed: dict, axis: int, binding: int | Tie, token: str) -> None:
 
 
 def _check_order_cap(dimension: int, order: int, force: bool, hard_cap: int = MAX_ORDER) -> None:
-    if dimension not in DIMENSIONS:
-        raise InputError(f"dimension must be one of {DIMENSIONS}, got {dimension}")
     cap = DEFAULT_ORDER_CAPS[dimension]
     if order > cap and not force:
         raise InputError(

@@ -20,7 +20,7 @@ import numpy as np
 from .lattice import LatinArray, _own_grid, _read_codes, build, value_grid
 from .modarith import gcd
 from .orthogonal import ParamMatrix, determinant, superpose, unit_determinant_masks
-from .params import DIMENSIONS, ParamVector, _feasible_blocks, check, count_feasible
+from .params import ParamVector, _check_dimension, _feasible_blocks, check, count_feasible
 
 # distinct-grid counting materializes every family x relabeling combination;
 # beyond d=2, n=5 that is no longer desk-scale
@@ -57,8 +57,7 @@ class MagicArray:
 
 def sigma(dimension: int, order: int) -> int:
     """The magic line sum n * (n**d - 1) / 2 (always an integer)."""
-    if dimension not in DIMENSIONS:
-        raise ValueError(f"dimension must be one of {DIMENSIONS}, got {dimension}")
+    _check_dimension(dimension)
     if order < 2:
         raise ValueError(f"order must be at least 2, got {order}")
     return order * (order**dimension - 1) // 2

@@ -20,7 +20,10 @@ from fixtures import CUBE_SLICE_DIAG, CUBE_SLICE_K2, HYPERCUBE_SLICE
 
 
 def run_cli(capsys, argv, stdin=None):
-    if stdin is not None:
+    """Run the CLI on argv with stdin as text, or as bytes decoded strictly as UTF-8."""
+    if isinstance(stdin, bytes):
+        cli.sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8", errors="strict")
+    elif stdin is not None:
         cli.sys.stdin = io.StringIO(stdin)
     try:
         code = cli.run(argv)
@@ -156,6 +159,12 @@ def test_generate_bad_params_exit_2(capsys):
         code, out, err = run_cli(capsys, argv)
         assert code == 2, argv
         assert err.startswith("error:")
+
+
+def test_generate_order_0_is_refused_before_its_charge(capsys):
+    # the memory charge divides by the order, so the order is checked first
+    code, out, err = run_cli(capsys, ["generate", "--order", "0", "--params", "1,2"])
+    assert (code, out, err) == (2, "", "error: order 0 outside [2, 1000]\n")
 
 
 def test_generate_dim_mismatch_exit_2(capsys):
@@ -346,6 +355,13 @@ def test_verify_unreadable_file_exit_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["verify", str(path)])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("command", [["verify"], ["slice", "--spec", "i=0"]])
+def test_undecodable_stdin_exit_2(capsys, command):
+    code, out, err = run_cli(capsys, command, stdin=b'{"dimension":2,"order":2,"values":[0,1,1,\xff]}')
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read -: ")
 
 
 def test_output_into_a_missing_directory_exit_2(capsys, tmp_path):

@@ -112,15 +112,23 @@ def test_cli_one_based_grid_and_csv_match_reference(capsys):
         assert capsys.readouterr().out == reference_blocks(magic, sep, 1)
 
 
-def encoder_paths(call):
-    """call's result and the paths its encodes took: "table" when it wrote the digits of fewer values than cells."""
-    sizes = []
-    write = cli._write_digits
+def digits_written(call):
+    """call's result, once each of its encodes wrote the digits of at most min(top + 1, 10**4) values per table."""
+    sizes, encodes = [], []
+    write, encode = cli._write_digits, cli._encode
+
+    def counted(flat, sep, row=0, offset=0):
+        sizes.clear()
+        text = encode(flat, sep, row, offset)
+        assert sizes and max(sizes) <= min(int(flat.max()) + offset + 1, 10**4)
+        encodes.append(flat.size)
+        return text
+
     with mock.patch.object(cli, "_write_digits", lambda v, out: sizes.append(v.size) or write(v, out)):
-        with mock.patch.object(cli, "_encode", wraps=cli._encode) as encode:
+        with mock.patch.object(cli, "_encode", counted):
             got = call()
-    cells = [call_args.args[0].size for call_args in encode.call_args_list]
-    return got, ["table" if written < size else "loop" for written, size in zip(sizes, cells)]
+    assert encodes
+    return got
 
 
 TOPS = [0, 9, 10, 99, 100, 101]
@@ -130,24 +138,23 @@ TOPS = [0, 9, 10, 99, 100, 101]
 @pytest.mark.parametrize("offset", [0, 1])
 @pytest.mark.parametrize("top", TOPS)
 def test_encode_matches_reference_on_both_paths(top, offset, block):
-    """A list body of 2 * (top + 1) cells (the table) or one fewer (the loop)."""
+    """A list body of 2 * (top + 1) cells or one fewer, from a read-only array."""
     if top < offset:
         return
     rng = np.random.default_rng(top * 2 + offset)
     with mock.patch.object(cli, "_ROW_CHUNK", block):
-        for cells, path in ((2 * (top + 1), "table"), (2 * (top + 1) - 1, "loop")):
+        for cells in (2 * (top + 1), 2 * (top + 1) - 1):
             flat = rng.integers(0, top - offset + 1, cells)
             flat[rng.integers(cells)] = top - offset
             flat.flags.writeable = False
-            got, paths = encoder_paths(lambda: cli._encode(flat, ",", 0, offset))
-            assert paths == [path]
+            got = digits_written(lambda: cli._encode(flat, ",", 0, offset))
             assert got == json.dumps((flat + offset).tolist(), separators=(",", ":"))[1:-1]
 
 
 @pytest.mark.parametrize("offset", [0, 1])
 @pytest.mark.parametrize("top", TOPS)
 def test_render_blocks_matches_reference_on_both_paths(top, offset):
-    """Grids whose top + 1 lies either side of half their cells, with rows of n and blocks of n * n.
+    """Grids of from 4 to 225 cells, with rows of n and blocks of n * n.
 
     Chunks of 1 and 7 cells round up to one block each, so every block is
     its own chunk; the default chunk holds all the blocks of these grids.
@@ -155,19 +162,14 @@ def test_render_blocks_matches_reference_on_both_paths(top, offset):
     if top < offset:
         return
     rng = np.random.default_rng(top * 2 + offset)
-    seen = set()
     for shape in ((2, 2), (3, 3), (7, 7), (10, 10), (15, 15), (2, 2, 2), (4, 4, 4), (5, 5, 5), (3, 3, 3, 3)):
         values = rng.integers(0, top - offset + 1, shape)
         values.flat[rng.integers(values.size)] = top - offset
         for chunk in (1, 7, cli._ROW_CHUNK):
             for sep in (" ", ","):
                 with mock.patch.object(cli, "_ROW_CHUNK", chunk):
-                    got, paths = encoder_paths(lambda: cli.render_blocks(values, sep, offset))
+                    got = digits_written(lambda: cli.render_blocks(values, sep, offset))
                 assert got == reference_blocks(values, sep, offset)
-        seen.add(paths[0])
-        assert paths == ["table" if 2 * (top + 1) <= values.size else "loop"]
-    # a grid of zeros always has half its cells or more to spare
-    assert seen == ({"table", "loop"} if top else {"table"})
 
 
 @pytest.mark.parametrize("offset", [0, 1])
@@ -175,8 +177,10 @@ def test_render_blocks_matches_reference_on_both_paths(top, offset):
 def test_encode_matches_join_across_digit_groups(top, offset):
     """Tops either side of one four-digit group and past two, with values next to 10**4 and 10**8.
 
-    A 12**3 grid takes its rows from the group tables; a 28**3 grid, where
-    top + 1 is at most half its cells, from the table of its values.
+    A 12**3 grid, and a 28**3 grid where top + 1 is at most half its
+    cells.  Chunks of 1 and 7 cells put chunk edges between the rows of
+    values that span several groups, and grid text puts one more byte after
+    each row's words; each grid chunk is one block.
     """
     rng = np.random.default_rng(top + offset)
     near = [0, 9_998, 9_999, 10_000, 10_001, 99_999_999, 10**8]
@@ -185,12 +189,13 @@ def test_encode_matches_join_across_digit_groups(top, offset):
         values.flat[: len(near)] = [min(x, top) - offset if x >= offset else 0 for x in near]
         values.flat[rng.integers(len(near), values.size)] = top - offset
         flat = values.ravel()
-        got, paths = encoder_paths(lambda: cli._encode(flat, ",", 0, offset))
-        assert got == ",".join(str(x + offset) for x in flat.tolist())
-        for sep in (" ", ","):
-            got, _ = encoder_paths(lambda: cli.render_blocks(values, sep, offset))
-            assert got == reference_blocks(values, sep, offset)
-        assert paths == ["table" if 2 * (top + 1) <= values.size else "loop"]
+        for chunk in (1, 7, cli._ROW_CHUNK):
+            with mock.patch.object(cli, "_ROW_CHUNK", chunk):
+                got = digits_written(lambda: cli._encode(flat, ",", 0, offset))
+                assert got == ",".join(str(x + offset) for x in flat.tolist())
+                for sep in (" ", ","):
+                    got = digits_written(lambda: cli.render_blocks(values, sep, offset))
+                    assert got == reference_blocks(values, sep, offset)
 
 
 def test_text_across_pack_blocks_matches_reference():
@@ -199,20 +204,17 @@ def test_text_across_pack_blocks_matches_reference():
     doc = cli.ArrayDocument(3, 101, build(v).values, "latin", (v.alphas,))
     for block in (1 << 16, 12345):
         with mock.patch.object(cli, "_ROW_CHUNK", block):
-            (text, grid), paths = encoder_paths(
-                lambda: (cli.document_to_json(doc), cli.render_blocks(doc.values, " ", 1))
-            )
-        assert paths == ["table", "table"]
+            text, grid = digits_written(lambda: (cli.document_to_json(doc), cli.render_blocks(doc.values, " ", 1)))
         assert len(text) > 8 * block
         assert text == reference_json(doc)
         assert grid == reference_blocks(doc.values, " ", 1)
 
 
 def test_magic_documents_stay_on_the_loop_path():
+    """A magic square, which spells each of its n * n values once, from one table of them."""
     values = compose_checked([ParamVector((1, 2), 5), ParamVector((1, 3), 5)]).values
     for offset in (0, 1):
-        got, paths = encoder_paths(lambda: cli.render_blocks(values, ",", offset))
-        assert paths == ["loop"]
+        got = digits_written(lambda: cli.render_blocks(values, ",", offset))
         assert got == reference_blocks(values, ",", offset)
 
 
