@@ -83,9 +83,12 @@ tables plus their origins.  A magic line is tested by its sum.  A latin
 line of order n <= 63 is tested by its bit set: the values lie in [0,
 n-1], so OR(1 << v) over the line's n cells is 2**n - 1, which fits an
 int64, exactly when its n values are distinct.  Orders 64 to MAX_ORDER
-(101) split the bit set into two int64 words, one for the values below
-64 and one for the rest: the line is latin exactly when the first has
-all 64 bits set and the second is 2**(n-64) - 1.
+(101) split the bit set into two int64 words, 1 << v and 1 << (v - 64),
+numpy's shift giving 0 outside [0, 64): the line is latin exactly when
+the first has all 64 bits set and the second is 2**(n-64) - 1.  Latin
+values lie below MAX_ORDER, so the scan reads a uint8 copy of a latin
+grid, an eighth of the int64 one, and makes each slab's or chunk's words
+in an int64 buffer; magic grids are read as they are.
 
 Before the cover, a torus pass tests every torus line x + t*u mod n of the
 directions u of support <= 2 (e_a, e_a + e_b and e_a - e_b: 4, 9 and 16 of
@@ -97,9 +100,11 @@ origin + k*C + p*(R+C) mod n, a torus line of its direction, and rows and
 columns are too.  So a family whose class direction the pass proved holds
 no failing line, and the scan skips it: it meets the same failing lines in
 the same order, and its report is unchanged.  A passing array leaves 0, 12
-and 48n+56 families to gather at d=2, 3 and 4.  The pass stops at the
-first slab where a line along axes 1 .. d-1 fails, and then proves
-nothing.  Its cost grows with the slabs' count, not their size, so it runs
+and 48n+56 families to gather at d=2, 3 and 4.  The walk over the slabs
+x_0 = p that puts axis b first also tests the lines along axis b; the
+pass stops at the first slab where one fails, in walk (0, 1) for a line
+along axis 1 and in a later walk for one along axis 2 or 3 alone, and
+then proves nothing.  Its cost grows with the slabs' count, not their size, so it runs
 only when a slab x_0 = p holds _TORUS_SLAB_CELLS cells or more: below
 that, its per-slab overhead costs more than the whole cover gather.
 """
@@ -121,8 +126,9 @@ from .params import DIRECTIONS, _check_dimension
 
 LINE_KINDS = ("row", "column", "diagonal-plus", "diagonal-minus")
 
-# cells gathered per chunk of squares: enough to amortise the per-chunk
-# overhead, few enough to keep the scan's memory flat and fail_fast early
+# words made per chunk of squares, one a cell or two from order 64 on: enough to
+# amortise the per-chunk overhead, few enough to keep the scan's memory flat
+# and fail_fast early
 _CHUNK_CELLS = 1 << 16
 # cells a slab x_0 = p must hold for the torus pass to cost no more than the
 # gathers it saves: measured even at 1,681 (d=3 n=41) in a warm process, and
@@ -265,17 +271,23 @@ def _scan(
 ) -> VerificationReport:
     n, d = values.shape[0], values.ndim
     cover = _line_cover(d, n)
-    flat = values.ravel()
-    proved = _torus_pass(values, magic_sum) if n ** (d - 1) >= _TORUS_SLAB_CELLS else None
+    # latin values lie below MAX_ORDER, so the pass and the gathers read them as bytes
+    grid = values if magic_sum is not None else values.astype(np.uint8)
+    flat = grid.ravel()
+    proved = _torus_pass(grid, magic_sum) if n ** (d - 1) >= _TORUS_SLAB_CELLS else None
     if proved is None:
         families, cells = np.arange(len(cover.kinds)), _CHUNK_CELLS
     else:
         # every line of a family is a torus line of its class's direction
         families = np.flatnonzero(~proved[cover.directions][cover.classes])
-        # the families left come in chunks whose 20 bytes a cell (the int32 index,
-        # take's intp copy of it, the int64 cells) stay below a third of the grid's 8
+        # the families left come in chunks of at most an eighth of the grid's words;
+        # with its int32 index, take's intp copy of it and its cells a chunk holds at
+        # most 21 bytes a word for latin grids and 28 for magic: 2.6 and 3.5 a grid cell
         cells = min(_CHUNK_CELLS, flat.size // 8)
-    step = max(1, cells // (n * n))
+    # the int64 buffer every chunk makes its words in, one a cell or two from order 64 on
+    words = len(_line_test(n, magic_sum)[1])
+    step = max(1, cells // (words * n * n))
+    buffer = np.empty(words * min(step, len(families)) * n * n, dtype=np.int64)
     lines_checked = cover.square_count * 4 * n
     rows_cols_ok = main_diags_ok = True
     failure_at: tuple[int, int] | None = None
@@ -288,7 +300,7 @@ def _scan(
         index += cover.origins[chunk, None, None]
         lines = flat.take(index)
         del index  # a chunk holds at most its index and its lines at once
-        bad = _failing_lines(lines, magic_sum)
+        bad = _failing_lines(lines, magic_sum, buffer)
         del lines
         if not bad.size:
             continue
@@ -322,48 +334,43 @@ def _torus_pass(values: np.ndarray, magic_sum: int | None) -> np.ndarray | None:
     """Whether every torus line of each row of DIRECTIONS[d] passes, or None.
 
     Only the directions of support <= 2 are tested; the others read False.
-    One walk per pair of axes a < b reads the slabs x_a = p as views and
-    writes each slab's words into a buffer whose first axis is x_b.  The
-    line of e_a + e_b through the slab's cell x_b lands at x_b - p mod n,
-    that of e_a - e_b at x_b + p, so each slab folds (OR, or add for magic)
-    into two accumulators by two slices along their first axis.  The first
-    walk, a = 0 and b = 1, also folds e_0 and tests the lines along axes 1
-    .. d-1 in each slab, one reduce per axis; None means one of them
-    failed, and the pass stopped at that slab.
+    values is the grid the scan reads: latin cells as uint8, magic ones as
+    they are.  One walk per pair of axes a < b reads the slabs x_a = p as
+    views and writes each slab's words into an int64 buffer, stacked on
+    their first axis, whose next axis is x_b.  The line of e_a + e_b
+    through the slab's cell x_b lands at x_b - p mod n, that of e_a - e_b
+    at x_b + p, so each slab folds (OR, or add for magic) into two
+    accumulators by two slices along that axis.  The first walk, a = 0
+    and b = 1, also folds e_0.  Each walk (0, b) tests the lines along
+    x_b in each slab by one reduce along x_b; None means one of them
+    failed, and the pass stopped at that slab of that walk.
     """
     n, d = values.shape[0], values.ndim
     op, targets = _line_test(n, magic_sum)
     row = _direction_row(d)
     unit = np.eye(d, dtype=np.int64)
     proved = np.zeros(len(DIRECTIONS[d]), dtype=bool)
-    out = np.empty((n,) * (d - 1), dtype=np.int64)
+    out = np.empty((len(targets),) + (n,) * (d - 1), dtype=np.int64)
     # the accumulators of e_a + e_b, e_a - e_b and, in the first walk, e_0
-    totals = [[np.empty_like(out) for _ in targets] for _ in range(3)]
+    totals = [np.empty_like(out) for _ in range(3)]
+    goal = targets.reshape((-1,) + (1,) * (d - 1))
     for a, b in combinations(range(d), 2):
-        first = b == 1
-        folds = [unit[a] + unit[b], unit[a] - unit[b]] + [unit[0]] * first
-        for acc in totals:
-            for total in acc:
-                total.fill(0)
+        folds = [unit[a] + unit[b], unit[a] - unit[b]] + [unit[0]] * (b == 1)
+        for total in totals:
+            total.fill(0)
         # slab p, its axis b first
         slabs = np.moveaxis(values, (a, b), (0, 1))
         for p in range(n):
             words = _words(slabs[p], magic_sum, out)
-            if first and not all(
-                (op.reduce(w, axis=x) == t).all() for x in range(d - 1) for w, t in zip(words, targets)
-            ):
+            if a == 0 and not (op.reduce(words, axis=1) == goal[:, 0]).all():
                 return None
-            for shift, acc in zip(((-p) % n, p, None)[: len(folds)], totals):
-                for word, total in zip(words, acc):
-                    if shift is None:
-                        op(total, word, out=total)
-                        continue
-                    # total[(x_b + shift) mod n] folds word[x_b]
-                    head, tail = total[shift:], total[:shift]
-                    op(head, word[: n - shift], out=head)
-                    op(tail, word[n - shift :], out=tail)
-        for u, acc in zip(folds, totals):
-            proved[row[tuple(u.tolist())]] = all((t == target).all() for t, target in zip(acc, targets))
+            for shift, total in zip(((-p) % n, p, 0)[: len(folds)], totals):
+                # total[:, (x_b + shift) mod n] folds words[:, x_b]
+                head, tail = total[:, shift:], total[:, :shift]
+                op(head, words[:, : n - shift], out=head)
+                op(tail, words[:, n - shift :], out=tail)
+        for u, total in zip(folds, totals):
+            proved[row[tuple(u.tolist())]] = (total == goal).all()
     # the lines along axes 1 .. d-1 passed in every x_0 slab
     for b in range(1, d):
         proved[row[tuple(unit[b].tolist())]] = True
@@ -379,45 +386,43 @@ def _direction_row(dimension: int) -> dict[tuple[int, ...], int]:
     return rows
 
 
-def _line_test(n: int, magic_sum: int | None) -> tuple[np.ufunc, tuple[int, ...]]:
+def _line_test(n: int, magic_sum: int | None) -> tuple[np.ufunc, np.ndarray]:
     """(op, targets): a line passes when op folds each of its words to its target."""
     if magic_sum is not None:
-        return np.add, (magic_sum,)
-    if n < 64:
-        return np.bitwise_or, ((1 << n) - 1,)
-    return np.bitwise_or, (-1, (1 << (n - 64)) - 1)
+        return np.add, np.array([magic_sum], dtype=np.int64)
+    return np.bitwise_or, np.array([(1 << n) - 1] if n < 64 else [-1, (1 << (n - 64)) - 1], dtype=np.int64)
 
 
-def _words(cells: np.ndarray, magic_sum: int | None, out: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The words a line test folds over cells, one array per target of _line_test.
+def _words(cells: np.ndarray, magic_sum: int | None, out: np.ndarray) -> np.ndarray:
+    """The words a line test folds over cells, one per target of _line_test, stacked.
 
-    A magic line folds its values.  A latin line of order n <= 63 folds
-    1 << v, and from 64 to MAX_ORDER a low word for the values below 64 and
-    a high word for the rest, each set by in-range shifts.  out is shaped
-    like cells, may be cells itself, and is overwritten; every word is laid
-    out like out.
+    out is int64, shaped (len(targets), *cells.shape), and is returned
+    overwritten: the cells, uint8 or int64, are copied into out[0] once and
+    the words made in place.  A magic line folds its values.  A latin line
+    of order n <= 63 folds 1 << v, and from 64 to MAX_ORDER a low word
+    1 << v and a high word 1 << (v - 64), three passes in all: numpy's left
+    shift by an amount outside [0, 64) gives 0, so each value sets one bit
+    of one word.
     """
-    if magic_sum is None and cells.shape[-1] < 64:
-        return (np.left_shift(1, cells, out=out),)
-    if out is not cells:
-        np.copyto(out, cells)
-    if magic_sum is not None:
-        return (out,)
-    high = np.right_shift(out, 6)  # 1 for the values from 64 on, as every value is below 128
-    low = np.bitwise_xor(high, 1)
-    np.bitwise_and(out, 63, out=out)
-    return np.left_shift(low, out, out=low), np.left_shift(high, out, out=high)
+    np.copyto(out[0], cells)
+    if magic_sum is None:
+        if len(out) == 2:
+            np.subtract(out[0], 64, out=out[1])
+        np.left_shift(1, out, out=out)
+    return out
 
 
-def _failing_lines(lines: np.ndarray, magic_sum: int | None) -> np.ndarray:
+def _failing_lines(lines: np.ndarray, magic_sum: int | None, buffer: np.ndarray) -> np.ndarray:
     """Flat positions of the failing lines in lines, shape (..., n), ascending.
 
-    Overwrites lines.
+    lines may be uint8 or int64.  Their words, one or two a cell
+    (_line_test), are made at the start of the int64 buffer, which must
+    hold them all.
     """
     op, targets = _line_test(lines.shape[-1], magic_sum)
-    words = _words(lines, magic_sum, lines)
-    fails = [op.reduce(w, axis=-1) != t for w, t in zip(words, targets)]
-    return np.flatnonzero(np.logical_or.reduce(fails))
+    words = _words(lines, magic_sum, buffer[: len(targets) * lines.size].reshape(-1, *lines.shape))
+    folded = op.reduce(words, axis=-1).reshape(len(targets), -1)
+    return np.flatnonzero((folded != targets[:, None]).any(axis=0))
 
 
 def _line_at(square: SquareView, index: int) -> Line:

@@ -676,6 +676,11 @@ def test_torus_route_equals_reference_scan(monkeypatch, kind, alphas, n, lowered
         assert got == expected
 
 
+def failing_lines(lines):
+    """verify._failing_lines of latin lines, with a word buffer of their own."""
+    return verify._failing_lines(lines, None, np.empty(2 * lines.size, dtype=np.int64))
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.integers(2, 63), st.integers(1, 50), st.integers(0, 2**32 - 1))
 def test_bit_set_line_test_equals_sorting(n, count, seed):
@@ -689,7 +694,7 @@ def test_bit_set_line_test_equals_sorting(n, count, seed):
     src, dst = rng.integers(0, n, (2, len(repeat)))
     lines[repeat, dst] = lines[repeat, src]
     expected = np.flatnonzero((np.sort(lines, axis=1) != np.arange(n)).any(axis=1))
-    assert np.array_equal(verify._failing_lines(lines.copy(), None), expected)
+    assert np.array_equal(failing_lines(lines), expected)
 
 
 @pytest.mark.parametrize("n", [64, 65, 100, 101])
@@ -711,7 +716,32 @@ def test_two_word_line_test_equals_sorting(n, seed):
     lines[at + np.arange(20), dst] = lines[at + np.arange(20), src]
     expected = np.flatnonzero((np.sort(lines, axis=1) != np.arange(n)).any(axis=1))
     assert at < len(lines) - 20 and expected.size > len(edges) ** 2
-    assert np.array_equal(verify._failing_lines(lines.copy(), None), expected)
+    assert np.array_equal(failing_lines(lines), expected)
+
+
+# the one-word and two-word line tests either side of order 64; d=4 stays at orders
+# whose int64 grid is a few MiB at most
+BYTE_POINTS = [(d, n) for d in (2, 3) for n in (63, 64, 65, 101)] + [(4, n) for n in (5, 7, 17)]
+
+
+@SETTINGS
+@given(st.sampled_from(BYTE_POINTS), st.sampled_from(["built", "relabelled", "swapped"]), st.integers(0, 2**32 - 1))
+@example((3, 101), "relabelled", 0)
+@example((3, 64), "swapped", 1)
+@example((4, 17), "swapped", 0)
+def test_uint8_grid_reads_like_int64(point, variant, seed):
+    """The torus pass and the line test give one verdict on a latin grid and its uint8 copy."""
+    d, n = point
+    values = sample_latin(d, n, variant, np.random.default_rng(seed), seed)
+    narrow = values.astype(np.uint8)
+    wide, byte = verify._torus_pass(values, None), verify._torus_pass(narrow, None)
+    assert (wide is None) == (byte is None)
+    assert wide is None or np.array_equal(wide, byte)
+    # the lines along the last axis and along the first
+    for lines in (values.reshape(-1, n), np.moveaxis(values, 0, -1).reshape(-1, n)):
+        expected = np.flatnonzero((np.sort(lines, axis=1) != np.arange(n)).any(axis=1))
+        assert np.array_equal(failing_lines(lines), expected)
+        assert np.array_equal(failing_lines(lines.astype(np.uint8)), expected)
 
 
 def clear_verify_caches():

@@ -544,9 +544,9 @@ def test_passing_scan_gathers_only_what_the_torus_pass_leaves(monkeypatch, d, n,
     counted = []
     failing_lines = verify._failing_lines
 
-    def counting(lines, magic_sum):
+    def counting(lines, magic_sum, buffer):
         counted.append(len(lines))
-        return failing_lines(lines, magic_sum)
+        return failing_lines(lines, magic_sum, buffer)
 
     monkeypatch.setattr(verify, "_failing_lines", counting)
     if lowered:
@@ -693,3 +693,35 @@ def test_torus_route_reports_are_pinned_at_4_41(alphas):
         got.append((r.passed, r.property, r.lines_checked,
                     (reason.split(": ")[0], hashlib.sha256(reason.encode()).hexdigest()[:16])))
     assert got == TORUS_ROUTE_REPORTS[alphas]
+
+
+def test_left_shift_out_of_range_is_zero():
+    """The two-word line test reads 1 << (v - 64) as 0 below 64 and 1 << v as 0 from 64 on."""
+    shifts = np.array([64, 100, -1, -37], dtype=np.int64)
+    assert np.left_shift(1, shifts).tolist() == [0, 0, 0, 0]
+
+
+# (d, n, x_0, x_2, the two x_1): the swapped cells are (x_0, x_1, x_2, 0 ...); the pass runs
+# at each point, and n = 101 takes two words a cell
+E1_SWAPS = [(3, 47, 5, 9, (3, 30)), (3, 101, 40, 7, (0, 99)), (4, 17, 3, 11, (2, 14))]
+
+
+@pytest.mark.parametrize("d, n, x0, x2, x1", E1_SWAPS)
+def test_e1_swap_stops_the_pass_in_walk_0_2(monkeypatch, d, n, x0, x2, x1):
+    """Two cells of one e_1 line swapped keep every e_1 line latin but break the e_2 lines
+    through them, so the pass walks (0, 1) whole and stops at slab x0 of walk (0, 2)."""
+    a = build(ParamVector((1, 2, 4, 8)[:d], n))
+    values = a.values.copy()
+    p, q = ((x0, y, x2) + (0,) * (d - 3) for y in x1)
+    values[p], values[q] = a.values[q], a.values[p]
+    slabs = []
+    words = verify._words
+    monkeypatch.setattr(verify, "_words", lambda *args: slabs.append(0) or words(*args))
+    assert verify._torus_pass(values.astype(np.uint8), None) is None
+    assert len(slabs) == n + x0 + 1
+    monkeypatch.undo()
+    got = [verify_latin_pandiagonal(LatinArray(values), fail_fast=ff) for ff in (False, True)]
+    monkeypatch.setattr(verify, "_TORUS_SLAB_CELLS", n**d + 1)
+    cover_only = [verify_latin_pandiagonal(LatinArray(values), fail_fast=ff) for ff in (False, True)]
+    assert got == cover_only
+    assert not got[0].passed and got[1].first_failure == got[0].first_failure
